@@ -628,6 +628,10 @@ def _build_turn(obj: dict, ontology: Ontology, dialog_id: str) -> Turn:
         acts.append(act)
 
     user = tokenize(user_text)
+    if not user:
+        # Mining and the paraphrase filter score user turns with BLEU, which
+        # is undefined for an empty sentence.
+        raise SchemaViolation(dialog_id, index, "user", "empty utterance")
     response = tokenize(response_text)
     user_delex = delexicalize(user, ontology, state)
     response_delex = delexicalize(response, ontology, state)

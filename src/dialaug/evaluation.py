@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .corpus import BeliefState, Corpus, Dialog, Goal, placeholder, split, subsample
 from .mining import MiningConfig, mine_pairs, relax_for_orphans
 from .augment import ALL_LOSSES, LOSS_BELIEF, LOSS_RESPONSE, build_instances, utter_sub
-from .neural.model import ModelConfig, ModelParams, generate_turn
+from .neural.model import ModelConfig, ModelParams, generate_paraphrase, generate_turn
 from .neural.training import TrainResult, train
 from .neural.vocab import Vocab
 from .textmetrics import BleuConfig, SMOOTH_NONE, corpus_bleu
@@ -341,13 +341,7 @@ def make_paraphrase_generator(params: ModelParams, vocab: Vocab):
     """Paraphrase-decoder greedy decode as a generation callback for build_instances."""
 
     def generate(inst) -> list[str] | None:
-        out = generate_turn(
-            params, vocab,
-            context=list(inst.context),
-            prev_belief=list(inst.prev_belief),
-            user_input=list(inst.user_input),
-        )
-        return out.paraphrase or None
+        return generate_paraphrase(params, vocab, inst.context, inst.prev_belief, inst.user_input) or None
 
     return generate
 

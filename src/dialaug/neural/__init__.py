@@ -13,9 +13,9 @@ from .model import (
     TurnOutput,
     encode,
     forward_instance,
-    joint_loss,
     sequence_nll,
     generate_turn,
+    generate_paraphrase,
 )
 from .training import Adam, PlateauSchedule, ScheduleEvent, TrainResult, train, mean_loss, clip_gradient
 from .checkpoint import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint, from_result
@@ -24,8 +24,8 @@ __all__ = [
     "Vocab", "CopyExtension", "PAD", "UNK", "BOS", "EOS", "SEP",
     "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID", "SEP_ID",
     "ModelConfig", "ModelParams", "TrainingError", "Encoding", "Decoder", "AttentionSite",
-    "ForwardResult", "TurnOutput", "encode", "forward_instance", "joint_loss", "sequence_nll",
-    "generate_turn",
+    "ForwardResult", "TurnOutput", "encode", "forward_instance", "sequence_nll",
+    "generate_turn", "generate_paraphrase",
     "Adam", "PlateauSchedule", "ScheduleEvent", "TrainResult", "train", "mean_loss", "clip_gradient",
     "Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint", "from_result",
 ]

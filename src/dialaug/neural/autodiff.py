@@ -4,6 +4,13 @@ A Tensor records its parents and a backward closure on a tape; backward() runs
 the closures in reverse topological order.  Only the operations the dialog
 network needs are provided.  Shapes follow numpy broadcasting; gradients of
 broadcast operands are summed back to the operand's shape.
+
+Besides the elementwise primitives there are fused ops for the network's
+recurrent cells, attention, pointer-generator output and sequence loss.  Each
+records one tape node and has one hand-written backward pass, so a decoder
+step costs a handful of nodes instead of dozens (fused cells as in Appleyard
+et al., arXiv:1604.01946; the mixture gradient as in See et al.,
+arXiv:1704.04368).
 """
 
 from __future__ import annotations
@@ -32,6 +39,12 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
+
+    def _accumulate_at(self, idx, g) -> None:
+        """Add g into grad[idx] only, without building a full-size gradient first."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad[idx] += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -66,6 +79,15 @@ def param(data) -> Tensor:
 
 def const(data) -> Tensor:
     return Tensor(data)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -143,7 +165,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    y = _sigmoid(a.data)
     out = Tensor(y, (a,))
 
     def backward(g):
@@ -166,9 +188,7 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
     out = Tensor(y, (a,))
 
     def backward(g):
@@ -205,9 +225,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a._accumulate(full)
+            a._accumulate_at(idx, g)
 
     out._backward = backward
     return out
@@ -231,9 +249,9 @@ def gather_rows(a: Tensor, ids: list[int]) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            a._accumulate(full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, g)
 
     out._backward = backward
     return out
@@ -245,9 +263,7 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[row, col] = g[0, 0]
-            a._accumulate(full)
+            a._accumulate_at((row, col), g[0, 0])
 
     out._backward = backward
     return out
@@ -287,6 +303,196 @@ def scale(a: Tensor, k: float) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * k)
+
+    out._backward = backward
+    return out
+
+
+# ---- fused ops --------------------------------------------------------------
+
+
+def _gru_forward(nx: np.ndarray, h: np.ndarray, uh: np.ndarray):
+    """One GRU update of the (1, H) state h from its input projection nx = x @ Wx + b (1, 3H).
+
+    Gate columns are z | r | c: z = sig(nx_z + nh_z), r = sig(nx_r + nh_r),
+    c = tanh(nx_c + r * nh_c) with nh = h @ Uh, and h' = z * h + (1 - z) * c.
+    Returns h' and what the backward pass needs.
+    """
+    hd = h.shape[1]
+    nh = h @ uh
+    z = _sigmoid(nx[:, :hd] + nh[:, :hd])
+    r = _sigmoid(nx[:, hd : 2 * hd] + nh[:, hd : 2 * hd])
+    nh_c = nh[:, 2 * hd :]
+    c = np.tanh(nx[:, 2 * hd :] + r * nh_c)
+    return z * h + (1.0 - z) * c, (h, z, r, c, nh_c)
+
+
+def _gru_backward(g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d nx, d nh, the direct part of d h) for the upstream gradient g of h'."""
+    h, z, r, c, nh_c = cache
+    d_z = g * (h - c) * z * (1.0 - z)
+    d_c = g * (1.0 - z) * (1.0 - c * c)
+    d_r = d_c * nh_c * r * (1.0 - r)
+    return np.concatenate([d_z, d_r, d_c], axis=1), np.concatenate([d_z, d_r, d_c * r], axis=1), g * z
+
+
+def gru_cell(x: Tensor, h: Tensor, wx: Tensor, uh: Tensor, b: Tensor) -> Tensor:
+    """One GRU step of a (1, H) state on a (1, In) input as one node; weights as in `_gru_forward`."""
+    w, u = wx.data, uh.data
+    h_new, cache = _gru_forward(x.data @ w + b.data, h.data, u)
+    out = Tensor(h_new, (x, h, wx, uh, b))
+
+    def backward(g):
+        d_nx, d_nh, d_h = _gru_backward(g, cache)
+        if x.requires_grad:
+            x._accumulate(d_nx @ w.T)
+        if h.requires_grad:
+            h._accumulate(d_h + d_nh @ u.T)
+        if wx.requires_grad:
+            wx._accumulate(x.data.T @ d_nx)
+        if uh.requires_grad:
+            uh._accumulate(h.data.T @ d_nh)
+        if b.requires_grad:
+            b._accumulate(d_nx)
+
+    out._backward = backward
+    return out
+
+
+def gru_sequence(x: Tensor, wx: Tensor, uh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """A GRU run over the rows of x (T, E) from a zero state, as one node.
+
+    The input projection of all rows is one (T, E) @ Wx product; backward runs
+    BPTT over the stored gates.  Row t of the (T, H) result is the state after
+    reading row t; with `reverse` the rows are read from last to first.
+    """
+    w, u = wx.data, uh.data
+    n, hd = x.data.shape[0], u.shape[0]
+    nx = x.data @ w + b.data
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    states = np.empty((n, hd))
+    caches = [None] * n
+    h = np.zeros((1, hd))
+    for t in order:
+        h, caches[t] = _gru_forward(nx[t : t + 1], h, u)
+        states[t] = h[0]
+    out = Tensor(states, (x, wx, uh, b))
+
+    def backward(g):
+        d_nx = np.empty_like(nx)
+        d_nh = np.empty_like(nx)
+        carry = np.zeros((1, hd))
+        for t in reversed(order):
+            d_nx_t, d_nh_t, d_h = _gru_backward(g[t : t + 1] + carry, caches[t])
+            carry = d_h + d_nh_t @ u.T
+            d_nx[t] = d_nx_t[0]
+            d_nh[t] = d_nh_t[0]
+        if x.requires_grad:
+            x._accumulate(d_nx @ w.T)
+        if wx.requires_grad:
+            wx._accumulate(x.data.T @ d_nx)
+        if uh.requires_grad:
+            prev = np.concatenate([cache[0] for cache in caches], axis=0)
+            uh._accumulate(prev.T @ d_nh)
+        if b.requires_grad:
+            b._accumulate(d_nx.sum(axis=0, keepdims=True))
+
+    out._backward = backward
+    return out
+
+
+def attention_weights(query: Tensor, wq: Tensor, proj_k: Tensor, v: Tensor) -> Tensor:
+    """Additive attention weights as one (1, T) node: softmax over t of tanh(query @ Wq + proj_k[t]) @ v.
+
+    `query` is (1, H) and `proj_k` the (T, A) key projection shared by all steps.
+    """
+    wq_, v_ = wq.data, v.data
+    u = np.tanh(query.data @ wq_ + proj_k.data)  # (T, A)
+    y = _softmax(u @ v_, axis=0)  # (T, 1)
+    out = Tensor(y.T, (query, wq, proj_k, v))
+
+    def backward(g):
+        g_col = g.T
+        d_scores = y * (g_col - (g_col * y).sum(axis=0, keepdims=True))  # (T, 1)
+        d_pre = (d_scores @ v_.T) * (1.0 - u * u)  # (T, A)
+        if v.requires_grad:
+            v._accumulate(u.T @ d_scores)
+        if proj_k.requires_grad:
+            proj_k._accumulate(d_pre)
+        d_q = d_pre.sum(axis=0, keepdims=True)
+        if wq.requires_grad:
+            wq._accumulate(query.data.T @ d_q)
+        if query.requires_grad:
+            query._accumulate(d_q @ wq_.T)
+
+    out._backward = backward
+    return out
+
+
+def pointer_mixture(
+    feat: Tensor, w_out: Tensor, b_out: Tensor, w_gate: Tensor, b_gate: Tensor,
+    weights: Tensor, src_ids: list[int], width: int,
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Pointer-generator output distribution (1, width) as one node.
+
+    probs = gate * [softmax(feat @ W_out + b_out), zero-padded to `width`]
+          + (1 - gate) * copy,
+    with gate = sigmoid(feat @ w_gate + b_gate) and copy the (1, T) attention
+    weights scatter-added onto columns `src_ids`.  Returns the node, the gate
+    (1, 1) and the copy distribution (1, width) as plain arrays.
+    """
+    idx = np.asarray(src_ids, dtype=np.intp)
+    if weights.data.shape != (1, len(src_ids)):
+        raise ValueError(f"weights shape {weights.data.shape} does not match {len(src_ids)} ids")
+    f, wo, wg = feat.data, w_out.data, w_gate.data
+    p = _softmax(f @ wo + b_out.data, axis=1)
+    n_vocab = p.shape[1]
+    p_pad = p if width == n_vocab else np.concatenate([p, np.zeros((1, width - n_vocab))], axis=1)
+    gate = _sigmoid(f @ wg + b_gate.data)
+    copy = np.zeros((1, width))
+    np.add.at(copy[0], idx, weights.data[0])
+    out = Tensor(gate * p_pad + (1.0 - gate) * copy, (feat, w_out, b_out, w_gate, b_gate, weights))
+
+    def backward(g):
+        d_p = gate * g[:, :n_vocab]
+        d_logits = p * (d_p - (d_p * p).sum(axis=1, keepdims=True))
+        d_gate = ((g * p_pad).sum(axis=1, keepdims=True) - (g * copy).sum(axis=1, keepdims=True)) * gate * (1.0 - gate)
+        if feat.requires_grad:
+            feat._accumulate(d_logits @ wo.T + d_gate @ wg.T)
+        if w_out.requires_grad:
+            w_out._accumulate(f.T @ d_logits)
+        if b_out.requires_grad:
+            b_out._accumulate(d_logits)
+        if w_gate.requires_grad:
+            w_gate._accumulate(f.T @ d_gate)
+        if b_gate.requires_grad:
+            b_gate._accumulate(d_gate)
+        if weights.requires_grad:
+            weights._accumulate((1.0 - gate) * g[:, idx])
+
+    out._backward = backward
+    return out, gate, copy
+
+
+def mean_nll(rows: list[Tensor], ids: list[int], eps: float) -> Tensor:
+    """Mean over i of -log(rows[i][0, ids[i]] + eps) as one (1, 1) node.
+
+    Backward writes into the picked entry of each row's gradient only.
+    """
+    n = len(rows)
+    if n == 0 or n != len(ids):
+        raise ValueError(f"{n} rows vs {len(ids)} ids")
+    shifted = np.array([row.data[0, i] for row, i in zip(rows, ids)]) + eps
+    total = 0.0
+    for nll in -np.log(shifted):  # left to right, as adding the per-token losses one by one
+        total += nll
+    out = Tensor(np.array([[total * (1.0 / n)]]), tuple(rows))
+
+    def backward(g):
+        d = -(g[0, 0] * (1.0 / n)) / shifted
+        for row, i, d_i in zip(rows, ids, d):
+            if row.requires_grad:
+                row._accumulate_at((0, i), d_i)
 
     out._backward = backward
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,6 +88,49 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(np.ascontiguousarray(ckpt.adam_v, dtype="<f8").tobytes())
 
 
+_NUMBER = (int, float)
+# key -> (accepted JSON types, accepted element types for lists)
+_HEADER = {
+    "config": (dict, None),
+    "vocab": (list, str),
+    "n_params": (int, None),
+    "adam_t": (int, None),
+    "lr": (_NUMBER, None),
+    "epoch": (int, None),
+    "best_dev": (_NUMBER + (type(None),), None),
+    "dev_history": (list, _NUMBER),
+}
+
+
+def _is(value, kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_header(header, path) -> ModelConfig:
+    """Validate the header's keys and value types; returns its model config."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = sorted(set(_HEADER) - set(header))
+    unknown = sorted(set(header) - set(_HEADER))
+    if missing or unknown:
+        raise CheckpointError(f"{path}: header keys missing {missing}, unknown {unknown}")
+    for key, (kinds, items) in _HEADER.items():
+        value = header[key]
+        if not _is(value, kinds) or (items is not None and not all(_is(v, items) for v in value)):
+            raise CheckpointError(f"{path}: header {key!r} has the wrong type")
+    config = header["config"]
+    for f in fields(ModelConfig):
+        if f.name in config and not _is(config[f.name], _NUMBER if isinstance(f.default, float) else int):
+            raise CheckpointError(f"{path}: config {f.name!r} has the wrong type")
+    try:
+        cfg = ModelConfig.from_json(config)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad model config: {e}") from e
+    if cfg.vocab_size != len(header["vocab"]):
+        raise CheckpointError(f"{path}: {len(header['vocab'])} vocabulary tokens for vocab_size {cfg.vocab_size}")
+    return cfg
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         blob = f.read()
@@ -102,8 +145,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
-    cfg = ModelConfig.from_json(header["config"])
-    n = int(header["n_params"])
+    cfg = _check_header(header, path)
+    n = header["n_params"]
     need = header_end + 3 * n * 8
     if len(blob) != need:
         raise CheckpointError(f"{path}: expected {need} bytes, found {len(blob)} (truncated or padded)")

@@ -173,17 +173,6 @@ class ModelParams:
                 raise TrainingError(f"non-finite values in parameter {name!r}")
 
 
-def _gru_step(params: ModelParams, prefix: str, x: Tensor, h: Tensor, hidden: int) -> Tensor:
-    nx = ad.add(ad.matmul(x, params[f"{prefix}.Wx"]), params[f"{prefix}.b"])
-    nh = ad.matmul(h, params[f"{prefix}.Uh"])
-    z = ad.sigmoid(ad.add(ad.narrow(nx, 1, 0, hidden), ad.narrow(nh, 1, 0, hidden)))
-    r = ad.sigmoid(ad.add(ad.narrow(nx, 1, hidden, hidden), ad.narrow(nh, 1, hidden, hidden)))
-    c = ad.tanh(ad.add(ad.narrow(nx, 1, 2 * hidden, hidden), ad.mul(r, ad.narrow(nh, 1, 2 * hidden, hidden))))
-    keep = ad.mul(z, h)
-    new = ad.mul(ad.sub(ad.const(np.ones((1, hidden))), z), c)
-    return ad.add(keep, new)
-
-
 @dataclass
 class Encoding:
     hiddens: Tensor  # (T, 2H)
@@ -194,7 +183,6 @@ class Encoding:
 def encode(params: ModelParams, token_ids: list[int], tokens: list[str]) -> Encoding:
     """Bi-directional recurrent pass; per-position hidden is the concatenation of directions."""
     cfg = params.cfg
-    h_dim = cfg.hidden_dim
     if len(token_ids) > cfg.max_encode_len:
         log.warning("encoder input of %d tokens truncated to %d", len(token_ids), cfg.max_encode_len)
         token_ids = token_ids[: cfg.max_encode_len]
@@ -202,22 +190,13 @@ def encode(params: ModelParams, token_ids: list[int], tokens: list[str]) -> Enco
     if not token_ids:
         raise ValueError("encoder input must be non-empty")
     emb = ad.gather_rows(params["embed"], token_ids)  # (T, E)
-    n = len(token_ids)
-
-    fwd: list[Tensor] = []
-    h = ad.const(np.zeros((1, h_dim)))
-    for t in range(n):
-        h = _gru_step(params, "enc.fwd", ad.narrow(emb, 0, t, 1), h, h_dim)
-        fwd.append(h)
-    bwd: list[Tensor] = [None] * n  # type: ignore[list-item]
-    h = ad.const(np.zeros((1, h_dim)))
-    for t in reversed(range(n)):
-        h = _gru_step(params, "enc.bwd", ad.narrow(emb, 0, t, 1), h, h_dim)
-        bwd[t] = h
-    per_pos = [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+    fwd, bwd = (
+        ad.gru_sequence(emb, params[f"enc.{d}.Wx"], params[f"enc.{d}.Uh"], params[f"enc.{d}.b"], reverse=d == "bwd")
+        for d in ("fwd", "bwd")
+    )
     return Encoding(
-        hiddens=ad.concat(per_pos, axis=0),
-        final=ad.concat([fwd[-1], bwd[0]], axis=1),
+        hiddens=ad.concat([fwd, bwd], axis=1),
+        final=ad.concat([ad.narrow(fwd, 0, len(token_ids) - 1, 1), ad.narrow(bwd, 0, 0, 1)], axis=1),
         tokens=list(tokens),
     )
 
@@ -226,25 +205,22 @@ class AttentionSite:
     """Additive attention over a fixed key matrix; key projections are shared across steps."""
 
     def __init__(self, params: ModelParams, prefix: str, keys: Tensor):
-        self.params = params
-        self.prefix = prefix
         self.keys = keys
+        self.wq = params[f"{prefix}.Wq"]
+        self.v = params[f"{prefix}.v"]
         self.proj_k = ad.add(ad.matmul(keys, params[f"{prefix}.Wk"]), params[f"{prefix}.b"])  # (T, A)
 
     def __call__(self, query: Tensor) -> tuple[Tensor, Tensor]:
         """(context row (1, K), attention weights (1, T)) for a (1, H) query."""
-        scores = ad.matmul(ad.tanh(ad.add(ad.matmul(query, self.params[f"{self.prefix}.Wq"]), self.proj_k)),
-                           self.params[f"{self.prefix}.v"])  # (T, 1)
-        weights = ad.softmax(scores, axis=0)
-        ctx = ad.matmul(ad.transpose(weights), self.keys)
-        return ctx, ad.transpose(weights)
+        weights = ad.attention_weights(query, self.wq, self.proj_k, self.v)
+        return ad.matmul(weights, self.keys), weights
 
 
 @dataclass
 class DecodeStep:
     probs: Tensor  # (1, extended vocab width): mixture distribution
-    copy_probs: Tensor  # (1, extended vocab width): copy component alone
-    gate: Tensor  # (1, 1)
+    copy_probs: Tensor  # (1, extended vocab width): copy component alone (constant)
+    gate: Tensor  # (1, 1) (constant)
     hidden: Tensor  # (1, H)
 
 
@@ -266,47 +242,37 @@ class Decoder:
             raise ValueError("db bucket applies to the response decoder only")
         self.params = params
         self.name = name
-        self.cfg = params.cfg
         self.ext = ext
         self.att_enc = AttentionSite(params, f"dec.{name}.att_enc", encoding.hiddens)
         self.att_cross = AttentionSite(params, f"dec.{name}.att_cross", cross_keys) if cross_keys is not None else None
         self.src_ids = [ext.source_id(t) for t in encoding.tokens]
         self.db_bucket = db_bucket
+        self.cell = [params[f"dec.{name}.cell.{k}"] for k in ("Wx", "Uh", "b")]
+        self.out = [params[f"dec.{name}.{k}"] for k in ("out.W", "out.b", "gate.w", "gate.b")]
         self.state = ad.tanh(
             ad.add(ad.matmul(encoding.final, params[f"dec.{name}.init.W"]), params[f"dec.{name}.init.b"])
         )
         self.first_step = True
-        self._zeros_ext = (
-            ad.const(np.zeros((1, ext.width - params.cfg.vocab_size))) if ext.width > params.cfg.vocab_size else None
-        )
 
     def step(self, x_emb: Tensor) -> DecodeStep:
-        p = self.params
-        name = self.name
-        if name == "response":
+        inputs = [x_emb]
+        if self.name == "response":
             flag = np.zeros((1, DB_BUCKETS))
             if self.first_step:
                 flag[0, self.db_bucket] = 1.0
-            x_emb = ad.concat([x_emb, ad.const(flag)], axis=1)
+            inputs.append(ad.const(flag))
         self.first_step = False
 
         ctx_enc, w_enc = self.att_enc(self.state)
-        parts = [ctx_enc]
+        ctx = [ctx_enc]
         if self.att_cross is not None:
-            ctx_cross, _ = self.att_cross(self.state)
-            parts.append(ctx_cross)
-        ctx = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+            ctx.append(self.att_cross(self.state)[0])
 
-        self.state = _gru_step(p, f"dec.{name}.cell", ad.concat([x_emb, ctx], axis=1), self.state, self.cfg.hidden_dim)
-        feat = ad.concat([self.state, ctx], axis=1)
-        p_vocab = ad.softmax(ad.add(ad.matmul(feat, p[f"dec.{name}.out.W"]), p[f"dec.{name}.out.b"]), axis=1)
-        if self._zeros_ext is not None:
-            p_vocab = ad.concat([p_vocab, self._zeros_ext], axis=1)
-        gate = ad.sigmoid(ad.add(ad.matmul(feat, p[f"dec.{name}.gate.w"]), p[f"dec.{name}.gate.b"]))
-        p_copy = ad.scatter_cols(w_enc, self.src_ids, self.ext.width)
-        one = ad.const(np.ones((1, 1)))
-        probs = ad.add(ad.mul(gate, p_vocab), ad.mul(ad.sub(one, gate), p_copy))
-        return DecodeStep(probs=probs, copy_probs=p_copy, gate=gate, hidden=self.state)
+        self.state = ad.gru_cell(ad.concat(inputs + ctx, axis=1), self.state, *self.cell)
+        probs, gate, copy = ad.pointer_mixture(
+            ad.concat([self.state] + ctx, axis=1), *self.out, w_enc, self.src_ids, self.ext.width
+        )
+        return DecodeStep(probs=probs, copy_probs=ad.const(copy), gate=ad.const(gate), hidden=self.state)
 
     def run_teacher(self, vocab: Vocab, target_tokens: list[str]) -> tuple[list[DecodeStep], list[int]]:
         """Teacher-forced pass; returns per-step outputs and extended target ids (incl. EOS)."""
@@ -339,12 +305,7 @@ def sequence_nll(steps: list[DecodeStep], target_ids: list[int]) -> Tensor:
     """Mean per-token negative log-likelihood of the mixture distributions."""
     if len(steps) != len(target_ids):
         raise ValueError(f"{len(steps)} steps vs {len(target_ids)} targets")
-    eps = ad.const(np.full((1, 1), LOG_EPS))
-    total: Tensor | None = None
-    for step, tid in zip(steps, target_ids):
-        nll = ad.scale(ad.log(ad.add(ad.pick(step.probs, 0, tid), eps)), -1.0)
-        total = nll if total is None else ad.add(total, nll)
-    return ad.scale(total, 1.0 / len(target_ids))
+    return ad.mean_nll([s.probs for s in steps], target_ids, LOG_EPS)
 
 
 @dataclass
@@ -368,10 +329,37 @@ class ForwardResult:
         }
 
 
-def _encoder_inputs(inst) -> tuple[list[str], list[str]]:
-    short = list(inst.context) + [SEP] + list(inst.user_input)
-    full = short + [SEP] + list(inst.prev_belief)
-    return short, full
+def _run_chain(
+    params: ModelParams, vocab: Vocab, context, prev_belief, user_input, run, db_bucket, last: str = "response"
+):
+    """Encode one turn and run the decoders in chain order, up to and including `last`.
+
+    The belief decoder reads the input extended by the previous belief; the
+    others read context and user input only, and each decoder after the first
+    attends over the hiddens of the one before.  `run(decoder)` returns the
+    decoder's (steps, output); `db_bucket(outputs so far)` gives the response
+    decoder's database bucket.  Returns the copy extension, and the steps and
+    outputs keyed by decoder name.
+    """
+    enc1_tokens = list(context) + [SEP] + list(user_input)
+    enc2_tokens = enc1_tokens + [SEP] + list(prev_belief)
+    ext = CopyExtension(vocab, enc2_tokens)
+    enc1 = encode(params, [vocab.id(t) for t in enc1_tokens], enc1_tokens)
+    steps: dict[str, list[DecodeStep]] = {}
+    outputs: dict = {}
+    cross_keys = None
+    for name in DECODERS:
+        if name == "belief":
+            encoding = encode(params, [vocab.id(t) for t in enc2_tokens], enc2_tokens)
+        else:
+            encoding = enc1
+        bucket = db_bucket(outputs) if name == "response" else None
+        dec = Decoder(params, name, encoding, ext, cross_keys=cross_keys, db_bucket=bucket)
+        steps[name], outputs[name] = run(dec)
+        if name == last:
+            break
+        cross_keys = ad.concat([s.hidden for s in steps[name]], axis=0)
+    return ext, steps, outputs
 
 
 def forward_instance(params: ModelParams, vocab: Vocab, inst, losses: frozenset[str] | None = None) -> ForwardResult:
@@ -383,37 +371,26 @@ def forward_instance(params: ModelParams, vocab: Vocab, inst, losses: frozenset[
     and contributes zero paraphrase loss.
     """
     active = losses if losses is not None else inst.losses
-    enc1_tokens, enc2_tokens = _encoder_inputs(inst)
-    ext = CopyExtension(vocab, enc2_tokens)
-    enc1 = encode(params, [vocab.id(t) for t in enc1_tokens], enc1_tokens)
-    enc2 = encode(params, [vocab.id(t) for t in enc2_tokens], enc2_tokens)
-
-    dec_a = Decoder(params, "action", enc1, ext)
-    steps_a, targets_a = dec_a.run_teacher(vocab, list(inst.act_target))
-
-    para_target = list(inst.paraphrase_target) if inst.paraphrase_target is not None else list(inst.user_input)
-    dec_p = Decoder(params, "para", enc1, ext, cross_keys=ad.concat([s.hidden for s in steps_a], axis=0))
-    steps_p, targets_p = dec_p.run_teacher(vocab, para_target)
-
-    dec_b = Decoder(params, "belief", enc2, ext, cross_keys=ad.concat([s.hidden for s in steps_p], axis=0))
-    steps_b, targets_b = dec_b.run_teacher(vocab, list(inst.belief_target))
-
-    dec_r = Decoder(
-        params, "response", enc1, ext,
-        cross_keys=ad.concat([s.hidden for s in steps_b], axis=0),
-        db_bucket=inst.db_bucket,
+    para_target = inst.paraphrase_target if inst.paraphrase_target is not None else inst.user_input
+    gold = {
+        "action": inst.act_target, "para": para_target,
+        "belief": inst.belief_target, "response": inst.response_target,
+    }
+    ext, steps, targets = _run_chain(
+        params, vocab, inst.context, inst.prev_belief, inst.user_input,
+        run=lambda dec: dec.run_teacher(vocab, list(gold[dec.name])),
+        db_bucket=lambda _outputs: inst.db_bucket,
     )
-    steps_r, targets_r = dec_r.run_teacher(vocab, list(inst.response_target))
 
     zero = ad.const(np.zeros((1, 1)))
-    loss_a = sequence_nll(steps_a, targets_a) if "a" in active else zero
+    loss_a = sequence_nll(steps["action"], targets["action"]) if "a" in active else zero
     loss_p = (
-        sequence_nll(steps_p, targets_p)
+        sequence_nll(steps["para"], targets["para"])
         if ("p" in active and inst.paraphrase_target is not None)
         else zero
     )
-    loss_b = sequence_nll(steps_b, targets_b) if "b" in active else zero
-    loss_r = sequence_nll(steps_r, targets_r) if "r" in active else zero
+    loss_b = sequence_nll(steps["belief"], targets["belief"]) if "b" in active else zero
+    loss_r = sequence_nll(steps["response"], targets["response"]) if "r" in active else zero
     total = ad.add(ad.add(loss_a, loss_p), ad.add(loss_b, loss_r))
     if not np.isfinite(total.data).all():
         raise TrainingError(
@@ -426,16 +403,10 @@ def forward_instance(params: ModelParams, vocab: Vocab, inst, losses: frozenset[
         loss_paraphrase=loss_p,
         loss_belief=loss_b,
         loss_response=loss_r,
-        steps={"action": steps_a, "para": steps_p, "belief": steps_b, "response": steps_r},
-        targets={"action": targets_a, "para": targets_p, "belief": targets_b, "response": targets_r},
+        steps=steps,
+        targets=targets,
         ext=ext,
     )
-
-
-def joint_loss(result: ForwardResult) -> tuple[float, float, float, float, float]:
-    """(total, loss_a, loss_p, loss_b, loss_r) scalars of a forward pass."""
-    c = result.components()
-    return c["total"], c["a"], c["p"], c["b"], c["r"]
 
 
 @dataclass
@@ -445,6 +416,10 @@ class TurnOutput:
     belief: list[str]
     response: list[str]
     db_bucket: int
+
+
+def _greedy(params: ModelParams, vocab: Vocab):
+    return lambda dec: dec.run_greedy(vocab, params.cfg.max_decode(dec.name))
 
 
 def generate_turn(
@@ -460,27 +435,26 @@ def generate_turn(
     `db_bucket_fn` maps the predicted belief tokens to a database match bucket
     (0, 1 or 2); without it the response decoder sees bucket 0.
     """
-    cfg = params.cfg
-    enc1_tokens = list(context) + [SEP] + list(user_input)
-    enc2_tokens = enc1_tokens + [SEP] + list(prev_belief)
-    ext = CopyExtension(vocab, enc2_tokens)
-    enc1 = encode(params, [vocab.id(t) for t in enc1_tokens], enc1_tokens)
-    enc2 = encode(params, [vocab.id(t) for t in enc2_tokens], enc2_tokens)
+    bucket = 0
 
-    dec_a = Decoder(params, "action", enc1, ext)
-    steps_a, action = dec_a.run_greedy(vocab, cfg.max_decode("action"))
+    def db_bucket(outputs) -> int:
+        nonlocal bucket
+        if db_bucket_fn is not None:
+            bucket = int(db_bucket_fn(outputs["belief"]))
+        return bucket
 
-    dec_p = Decoder(params, "para", enc1, ext, cross_keys=ad.concat([s.hidden for s in steps_a], axis=0))
-    steps_p, paraphrase = dec_p.run_greedy(vocab, cfg.max_decode("para"))
-
-    dec_b = Decoder(params, "belief", enc2, ext, cross_keys=ad.concat([s.hidden for s in steps_p], axis=0))
-    steps_b, belief = dec_b.run_greedy(vocab, cfg.max_decode("belief"))
-
-    bucket = int(db_bucket_fn(belief)) if db_bucket_fn is not None else 0
-    dec_r = Decoder(
-        params, "response", enc1, ext,
-        cross_keys=ad.concat([s.hidden for s in steps_b], axis=0),
+    _, _, out = _run_chain(params, vocab, context, prev_belief, user_input, _greedy(params, vocab), db_bucket)
+    return TurnOutput(
+        action=out["action"], paraphrase=out["para"], belief=out["belief"], response=out["response"],
         db_bucket=bucket,
     )
-    _, response = dec_r.run_greedy(vocab, cfg.max_decode("response"))
-    return TurnOutput(action=action, paraphrase=paraphrase, belief=belief, response=response, db_bucket=bucket)
+
+
+def generate_paraphrase(
+    params: ModelParams, vocab: Vocab, context: list[str], prev_belief: list[str], user_input: list[str]
+) -> list[str]:
+    """The paraphrase `generate_turn` would emit, decoding only the action and paraphrase heads."""
+    _, _, out = _run_chain(
+        params, vocab, context, prev_belief, user_input, _greedy(params, vocab), db_bucket=None, last="para"
+    )
+    return out["para"]

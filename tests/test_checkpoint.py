@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -115,3 +116,83 @@ class TestCorruption:
         )
         with pytest.raises(CheckpointError):
             save_checkpoint(broken, tmp_path / "m.ckpt")
+
+
+def _rewrite_header(path, edit) -> None:
+    """Apply `edit` to the JSON header of the checkpoint at path, keeping the arrays."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+
+
+class TestMalformedHeader:
+    @pytest.fixture()
+    def saved(self, small_ckpt, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(small_ckpt, path)
+        return path
+
+    def test_rewrite_helper_keeps_a_valid_file(self, saved, small_ckpt):
+        _rewrite_header(saved, lambda h: None)
+        assert load_checkpoint(saved).adam_t == small_ckpt.adam_t
+
+    @pytest.mark.parametrize("key", ["config", "vocab", "n_params", "adam_t", "lr", "epoch", "best_dev", "dev_history"])
+    def test_missing_key(self, saved, key):
+        _rewrite_header(saved, lambda h: h.pop(key))
+        with pytest.raises(CheckpointError, match="missing"):
+            load_checkpoint(saved)
+
+    def test_unknown_key(self, saved):
+        _rewrite_header(saved, lambda h: h.update(extra=1))
+        with pytest.raises(CheckpointError, match="unknown"):
+            load_checkpoint(saved)
+
+    def test_header_not_an_object(self, saved):
+        blob = saved.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 8)
+        raw = b"[1, 2]"
+        saved.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :])
+        with pytest.raises(CheckpointError, match="object"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("config", [1]),
+            ("vocab", "abc"),
+            ("vocab", [1, 2]),
+            ("n_params", "12"),
+            ("n_params", True),
+            ("adam_t", 1.5),
+            ("lr", "fast"),
+            ("epoch", None),
+            ("best_dev", "low"),
+            ("dev_history", [1.0, "x"]),
+        ],
+    )
+    def test_wrong_value_type(self, saved, key, value):
+        _rewrite_header(saved, lambda h: h.update({key: value}))
+        with pytest.raises(CheckpointError, match=repr(key)):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(frobnicate=1),
+            lambda c: c.update(embed_dim="8"),
+            lambda c: c.update(learning_rate=None),
+            lambda c: c.update(embed_dim=0),
+        ],
+    )
+    def test_bad_model_config(self, saved, edit):
+        _rewrite_header(saved, lambda h: edit(h["config"]))
+        with pytest.raises(CheckpointError, match="config"):
+            load_checkpoint(saved)
+
+    def test_vocab_size_mismatch(self, saved):
+        _rewrite_header(saved, lambda h: h["vocab"].pop())
+        with pytest.raises(CheckpointError, match="vocab_size"):
+            load_checkpoint(saved)

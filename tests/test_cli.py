@@ -119,6 +119,15 @@ class TestMine:
         assert obj["orphans"][0]["dialog"] == "d06"
         assert obj["orphans"][0]["bucket_size"] == 1
 
+    def test_empty_user_utterance_is_usage_error(self, tmp_path, capsys):
+        doc = json.loads(open(MINI, encoding="utf-8").read())
+        doc["dialogs"][0]["turns"][1]["user"] = ""
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        rc = dispatch(["mine", "--corpus", str(corpus), "--out", str(tmp_path / "pairs.jsonl")])
+        assert rc == EXIT_USAGE
+        assert "empty utterance" in capsys.readouterr().err
+
     def test_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert dispatch(["mine", "--corpus", MINI, "--out", str(a)]) == EXIT_OK

@@ -265,6 +265,27 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError):
             corpus_from_json(doc)
 
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_user_utterance(self, text):
+        doc = base_doc()
+        doc["dialogs"][0]["turns"][0]["user"] = text
+        with pytest.raises(SchemaViolation) as err:
+            corpus_from_json(doc)
+        assert err.value.fieldname == "user"
+        assert "empty" in str(err.value)
+
+    def test_empty_user_utterance_sharing_a_bucket(self, tmp_path):
+        # An empty turn with bucket-mates would reach sentence_bleu in mining.
+        from dialaug.synth import synth_corpus
+
+        doc = synth_corpus(4).to_json()
+        doc["dialogs"][0]["turns"][1]["user"] = ""
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaViolation) as err:
+            load_canonical(path)
+        assert err.value.turn == 2
+
 
 class TestCorpusAccessors:
     def test_db_query_and_bucket(self, mini_corpus):

@@ -311,3 +311,29 @@ class TestHarness:
         assert bogus.error is not None and "bogus" in bogus.error
         assert ok.error is None
         assert ok.augmentation == MODE_NONE
+
+    def test_paraphrase_generator_matches_generate_turn(self, tiny_setup, micro_cfg, monkeypatch):
+        from dialaug.augment import build_instances
+        from dialaug.evaluation import generate_turn, make_paraphrase_generator
+        from dialaug.neural import model
+
+        corpus, _, _, _ = tiny_setup
+        result = train_mode(corpus, corpus, MODE_NONE, micro_cfg)
+        params, vocab = result.params, result.vocab
+        instances = build_instances(corpus, None, paraphrase_source="none", epoch_seed=0)
+        want = [
+            generate_turn(params, vocab, list(i.context), list(i.prev_belief), list(i.user_input)).paraphrase or None
+            for i in instances
+        ]
+        heads = []
+        real = model.Decoder
+
+        def recording(params_, name, *args, **kwargs):
+            heads.append(name)
+            return real(params_, name, *args, **kwargs)
+
+        monkeypatch.setattr(model, "Decoder", recording)
+        generate = make_paraphrase_generator(params, vocab)
+        assert [generate(i) for i in instances] == want
+        # the generator stops after the paraphrase decoder
+        assert heads == ["action", "para"] * len(instances)

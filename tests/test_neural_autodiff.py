@@ -171,3 +171,148 @@ class TestTensorMechanics:
         w = ad.const(np.array([[0.25, 0.25, 0.5]]))
         out = ad.scatter_cols(w, [1, 1, 3], 5)
         np.testing.assert_allclose(out.data, [[0.0, 0.5, 0.0, 0.5, 0.0]])
+
+
+# ---- fused ops ----------------------------------------------------------------
+#
+# Each fused op is checked twice: against central finite differences, and
+# against the same computation composed from the elementwise primitives (the
+# network's wiring before the ops were fused), value and every input gradient.
+
+H = 3  # hidden size of the GRU cases; gate projections are (·, 3H)
+SRC_IDS = [0, 6, 2, 6]  # copy source columns: a duplicate and two extended ids
+WIDTH = 7  # 5-token vocabulary plus 2 extended columns
+
+
+def ref_gru_cell(x, h, wx, uh, b):
+    nx = ad.add(ad.matmul(x, wx), b)
+    nh = ad.matmul(h, uh)
+    z = ad.sigmoid(ad.add(ad.narrow(nx, 1, 0, H), ad.narrow(nh, 1, 0, H)))
+    r = ad.sigmoid(ad.add(ad.narrow(nx, 1, H, H), ad.narrow(nh, 1, H, H)))
+    c = ad.tanh(ad.add(ad.narrow(nx, 1, 2 * H, H), ad.mul(r, ad.narrow(nh, 1, 2 * H, H))))
+    return ad.add(ad.mul(z, h), ad.mul(ad.sub(ad.const(np.ones((1, H))), z), c))
+
+
+def ref_gru_sequence(x, wx, uh, b, reverse=False):
+    n = x.data.shape[0]
+    states = [None] * n
+    h = ad.const(np.zeros((1, H)))
+    for t in (reversed(range(n)) if reverse else range(n)):
+        h = ref_gru_cell(ad.narrow(x, 0, t, 1), h, wx, uh, b)
+        states[t] = h
+    return ad.concat(states, axis=0)
+
+
+def ref_attention_weights(query, wq, proj_k, v):
+    scores = ad.matmul(ad.tanh(ad.add(ad.matmul(query, wq), proj_k)), v)
+    return ad.transpose(ad.softmax(scores, axis=0))
+
+
+def ref_pointer_mixture(feat, w_out, b_out, w_gate, b_gate, weights):
+    p_vocab = ad.softmax(ad.add(ad.matmul(feat, w_out), b_out), axis=1)
+    p_vocab = ad.concat([p_vocab, ad.const(np.zeros((1, WIDTH - p_vocab.shape[1])))], axis=1)
+    gate = ad.sigmoid(ad.add(ad.matmul(feat, w_gate), b_gate))
+    p_copy = ad.scatter_cols(weights, SRC_IDS, WIDTH)
+    return ad.add(ad.mul(gate, p_vocab), ad.mul(ad.sub(ad.const(np.ones((1, 1))), gate), p_copy))
+
+
+def ref_mean_nll(rows, ids, eps):
+    total = None
+    for row, i in zip(rows, ids):
+        nll = ad.scale(ad.log(ad.add(ad.pick(row, 0, i), ad.const(np.full((1, 1), eps)))), -1.0)
+        total = nll if total is None else ad.add(total, nll)
+    return ad.scale(total, 1.0 / len(ids))
+
+
+def mixture(*ts):
+    return ad.pointer_mixture(*ts, SRC_IDS, WIDTH)[0]
+
+
+NLL_IDS = [1, 4, 0, 4]
+
+
+def nll_of_softmax(op):
+    """Mean NLL of four softmax rows of a (4, 5) input, picking NLL_IDS."""
+    return lambda a: op([ad.softmax(ad.narrow(a, 0, i, 1), axis=1) for i in range(4)], NLL_IDS, 1e-12)
+
+
+def weighted_sum(t: ad.Tensor) -> ad.Tensor:
+    """A scalar that weighs every output entry differently, so no gradient cancels."""
+    w = np.random.Generator(np.random.PCG64(99)).uniform(-1.0, 1.0, size=t.shape)
+    return ad.tsum(ad.mul(t, ad.const(w)))
+
+
+GRU_CELL = ((1, 4), (1, H), (4, 3 * H), (H, 3 * H), (1, 3 * H))
+GRU_SEQ = ((5, 4), (4, 3 * H), (H, 3 * H), (1, 3 * H))
+ATTENTION = ((1, 2), (2, 3), (4, 3), (3, 1))
+MIXTURE = ((1, 4), (4, 5), (1, 5), (4, 1), (1, 1), (1, len(SRC_IDS)))
+
+# name -> (fused, reference, input shapes)
+FUSED = {
+    "gru_cell": (ad.gru_cell, ref_gru_cell, GRU_CELL),
+    "gru_sequence": (ad.gru_sequence, ref_gru_sequence, GRU_SEQ),
+    "gru_sequence_reverse": (
+        lambda *ts: ad.gru_sequence(*ts, reverse=True), lambda *ts: ref_gru_sequence(*ts, reverse=True), GRU_SEQ,
+    ),
+    "attention_weights": (ad.attention_weights, ref_attention_weights, ATTENTION),
+    "pointer_mixture": (mixture, ref_pointer_mixture, MIXTURE),
+    "mean_nll": (nll_of_softmax(ad.mean_nll), nll_of_softmax(ref_mean_nll), ((4, 5),)),
+}
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_finite_differences(self, name):
+        fused, _, shapes = FUSED[name]
+        check_op(lambda *ts: weighted_sum(fused(*ts)), *shapes)
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_matches_composed_primitives(self, name):
+        fused, reference, shapes = FUSED[name]
+        rng = np.random.Generator(np.random.PCG64(4))
+        arrays = [rng.uniform(-0.9, 0.9, size=s) for s in shapes]
+        runs = []
+        for build in (fused, reference):
+            tensors = [ad.param(a.copy()) for a in arrays]
+            out = build(*tensors)
+            weighted_sum(out).backward()
+            runs.append((out.data, [t.grad for t in tensors]))
+        (value, grads), (ref_value, ref_grads) = runs
+        assert value.shape == ref_value.shape
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-12)
+        for g, ref_g in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref_g, rtol=0, atol=1e-12)
+
+    def test_fused_op_is_one_tape_node(self):
+        tensors = [ad.param(np.full(s, 0.1)) for s in GRU_SEQ]
+        out = ad.gru_sequence(*tensors)
+        assert out.parents == tuple(tensors)
+
+    def test_mixture_side_outputs(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        tensors = [ad.param(rng.uniform(-0.9, 0.9, size=s)) for s in MIXTURE]
+        probs, gate, copy = ad.pointer_mixture(*tensors, SRC_IDS, WIDTH)
+        ref_gate = ad.sigmoid(ad.add(ad.matmul(tensors[0], tensors[3]), tensors[4])).data
+        np.testing.assert_array_equal(gate, ref_gate)
+        np.testing.assert_array_equal(copy, ad.scatter_cols(tensors[5], SRC_IDS, WIDTH).data)
+        assert probs.shape == (1, WIDTH)
+
+    def test_mixture_is_a_distribution(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        tensors = [ad.const(rng.normal(size=s)) for s in MIXTURE[:5]]
+        weights = ad.softmax(ad.const(rng.normal(size=(1, len(SRC_IDS)))), axis=1)
+        probs, _, _ = ad.pointer_mixture(*tensors, weights, SRC_IDS, WIDTH)
+        assert abs(float(probs.data.sum()) - 1.0) < 1e-12
+        assert (probs.data >= 0).all()
+
+    def test_mixture_shape_validation(self):
+        tensors = [ad.const(np.ones(s)) for s in MIXTURE[:5]]
+        with pytest.raises(ValueError):
+            ad.pointer_mixture(*tensors, ad.const(np.ones((1, 2))), SRC_IDS, WIDTH)
+
+    def test_mean_nll_length_validation(self):
+        row = ad.const(np.full((1, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError):
+            ad.mean_nll([row, row], [0], 1e-12)
+        with pytest.raises(ValueError):
+            ad.mean_nll([], [], 1e-12)

@@ -12,6 +12,7 @@ from .model import (
     ForwardResult,
     TurnOutput,
     encode,
+    forward_batch,
     forward_instance,
     sequence_nll,
     generate_turn,
@@ -24,7 +25,7 @@ __all__ = [
     "Vocab", "CopyExtension", "PAD", "UNK", "BOS", "EOS", "SEP",
     "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID", "SEP_ID",
     "ModelConfig", "ModelParams", "TrainingError", "Encoding", "Decoder", "AttentionSite",
-    "ForwardResult", "TurnOutput", "encode", "forward_instance", "sequence_nll",
+    "ForwardResult", "TurnOutput", "encode", "forward_batch", "forward_instance", "sequence_nll",
     "generate_turn", "generate_paraphrase",
     "Adam", "PlateauSchedule", "ScheduleEvent", "TrainResult", "train", "mean_loss", "clip_gradient",
     "Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint", "from_result",

@@ -26,7 +26,13 @@ class Tensor:
         self.grad = None
         self.parents = parents
         self._backward = backward
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if not requires_grad:
+            # A plain loop: every op makes a tensor, and any() over a generator costs several times more.
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -309,10 +315,16 @@ def scale(a: Tensor, k: float) -> Tensor:
 
 
 # ---- fused ops --------------------------------------------------------------
+#
+# The fused ops take a batch of B rows.  A batch of sequences is stored
+# time-major as a 2-D (T*B, ·) array: row t*B + j is position t of sequence j,
+# and `lengths` (B,) gives each sequence's own length; later positions are
+# padding that no result depends on.  Without `lengths` the batch is one
+# sequence of T positions.
 
 
 def _gru_forward(nx: np.ndarray, h: np.ndarray, uh: np.ndarray):
-    """One GRU update of the (1, H) state h from its input projection nx = x @ Wx + b (1, 3H).
+    """One GRU update of the (B, H) state h from its input projection nx = x @ Wx + b (B, 3H).
 
     Gate columns are z | r | c: z = sig(nx_z + nh_z), r = sig(nx_r + nh_r),
     c = tanh(nx_c + r * nh_c) with nh = h @ Uh, and h' = z * h + (1 - z) * c.
@@ -336,8 +348,16 @@ def _gru_backward(g: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.concatenate([d_z, d_r, d_c], axis=1), np.concatenate([d_z, d_r, d_c * r], axis=1), g * z
 
 
+def _valid(n: int, lengths) -> np.ndarray | None:
+    """(T, B) mask of the positions inside each sequence, or None when no position is padding."""
+    if lengths is None:
+        return None
+    valid = np.arange(n)[:, None] < np.asarray(lengths)[None, :]
+    return None if valid.all() else valid
+
+
 def gru_cell(x: Tensor, h: Tensor, wx: Tensor, uh: Tensor, b: Tensor) -> Tensor:
-    """One GRU step of a (1, H) state on a (1, In) input as one node; weights as in `_gru_forward`."""
+    """One GRU step of a (B, H) state on a (B, In) input as one node; weights as in `_gru_forward`."""
     w, u = wx.data, uh.data
     h_new, cache = _gru_forward(x.data @ w + b.data, h.data, u)
     out = Tensor(h_new, (x, h, wx, uh, b))
@@ -353,47 +373,62 @@ def gru_cell(x: Tensor, h: Tensor, wx: Tensor, uh: Tensor, b: Tensor) -> Tensor:
         if uh.requires_grad:
             uh._accumulate(h.data.T @ d_nh)
         if b.requires_grad:
-            b._accumulate(d_nx)
+            b._accumulate(d_nx.sum(axis=0, keepdims=True))
 
     out._backward = backward
     return out
 
 
-def gru_sequence(x: Tensor, wx: Tensor, uh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """A GRU run over the rows of x (T, E) from a zero state, as one node.
+def gru_sequence(x: Tensor, wx: Tensor, uh: Tensor, b: Tensor, reverse: bool = False, lengths=None) -> Tensor:
+    """A GRU run over a time-major batch x (T*B, E) from a zero state, as one node.
 
-    The input projection of all rows is one (T, E) @ Wx product; backward runs
-    BPTT over the stored gates.  Row t of the (T, H) result is the state after
-    reading row t; with `reverse` the rows are read from last to first.
+    The input projection of all rows is one (T*B, E) @ Wx product; backward
+    runs BPTT over the stored gates.  Row t*B + j of the (T*B, H) result is
+    sequence j's state after reading its position t; with `reverse` positions
+    are read from last to first.  A padding position leaves the state as it
+    is, so a reverse run starts from zero at each sequence's own last position
+    and a forward run's padding rows repeat the sequence's final state.
     """
     w, u = wx.data, uh.data
-    n, hd = x.data.shape[0], u.shape[0]
-    nx = x.data @ w + b.data
+    nb = 1 if lengths is None else len(lengths)
+    n, hd = x.data.shape[0] // nb, u.shape[0]
+    nx = (x.data @ w + b.data).reshape(n, nb, 3 * hd)
+    valid = _valid(n, lengths)
+    keep = None if valid is None else valid[:, :, None]
     order = range(n - 1, -1, -1) if reverse else range(n)
-    states = np.empty((n, hd))
+    states = np.empty((n, nb, hd))
     caches = [None] * n
-    h = np.zeros((1, hd))
+    h = np.zeros((nb, hd))
     for t in order:
-        h, caches[t] = _gru_forward(nx[t : t + 1], h, u)
-        states[t] = h[0]
-    out = Tensor(states, (x, wx, uh, b))
+        h_new, caches[t] = _gru_forward(nx[t], h, u)
+        h = h_new if keep is None else np.where(keep[t], h_new, h)
+        states[t] = h
+    out = Tensor(states.reshape(n * nb, hd), (x, wx, uh, b))
 
     def backward(g):
+        g = g.reshape(n, nb, hd)
         d_nx = np.empty_like(nx)
         d_nh = np.empty_like(nx)
-        carry = np.zeros((1, hd))
+        carry = np.zeros((nb, hd))
         for t in reversed(order):
-            d_nx_t, d_nh_t, d_h = _gru_backward(g[t : t + 1] + carry, caches[t])
-            carry = d_h + d_nh_t @ u.T
-            d_nx[t] = d_nx_t[0]
-            d_nh[t] = d_nh_t[0]
+            g_t = g[t] + carry
+            d_nx_t, d_nh_t, d_h = _gru_backward(g_t, caches[t])
+            if keep is None:
+                carry = d_h + d_nh_t @ u.T
+            else:
+                d_nx_t = np.where(keep[t], d_nx_t, 0.0)
+                d_nh_t = np.where(keep[t], d_nh_t, 0.0)
+                carry = np.where(keep[t], d_h + d_nh_t @ u.T, g_t)
+            d_nx[t] = d_nx_t
+            d_nh[t] = d_nh_t
+        d_nx = d_nx.reshape(n * nb, 3 * hd)
         if x.requires_grad:
             x._accumulate(d_nx @ w.T)
         if wx.requires_grad:
             wx._accumulate(x.data.T @ d_nx)
         if uh.requires_grad:
             prev = np.concatenate([cache[0] for cache in caches], axis=0)
-            uh._accumulate(prev.T @ d_nh)
+            uh._accumulate(prev.T @ d_nh.reshape(n * nb, 3 * hd))
         if b.requires_grad:
             b._accumulate(d_nx.sum(axis=0, keepdims=True))
 
@@ -401,25 +436,35 @@ def gru_sequence(x: Tensor, wx: Tensor, uh: Tensor, b: Tensor, reverse: bool = F
     return out
 
 
-def attention_weights(query: Tensor, wq: Tensor, proj_k: Tensor, v: Tensor) -> Tensor:
-    """Additive attention weights as one (1, T) node: softmax over t of tanh(query @ Wq + proj_k[t]) @ v.
+def attention_weights(query: Tensor, wq: Tensor, proj_k: Tensor, v: Tensor, lengths=None) -> Tensor:
+    """Additive attention weights as one (B, T) node.
 
-    `query` is (1, H) and `proj_k` the (T, A) key projection shared by all steps.
+    Row j is softmax over t of tanh(query[j] @ Wq + proj_k[t*B + j]) @ v, taken
+    over sequence j's own positions; padding positions get weight 0.  `query`
+    is (B, H) and `proj_k` the time-major (T*B, A) key projection shared by
+    all steps.
     """
     wq_, v_ = wq.data, v.data
-    u = np.tanh(query.data @ wq_ + proj_k.data)  # (T, A)
-    y = _softmax(u @ v_, axis=0)  # (T, 1)
+    nb = query.data.shape[0]
+    n = proj_k.data.shape[0] // nb
+    u = np.tanh(query.data @ wq_ + proj_k.data.reshape(n, nb, -1))  # (T, B, A)
+    u_rows = u.reshape(n * nb, -1)
+    scores = (u_rows @ v_).reshape(n, nb)
+    valid = _valid(n, lengths)
+    if valid is not None:
+        scores = np.where(valid, scores, -np.inf)
+    y = _softmax(scores, axis=0)  # (T, B)
     out = Tensor(y.T, (query, wq, proj_k, v))
 
     def backward(g):
         g_col = g.T
-        d_scores = y * (g_col - (g_col * y).sum(axis=0, keepdims=True))  # (T, 1)
-        d_pre = (d_scores @ v_.T) * (1.0 - u * u)  # (T, A)
+        d_scores = (y * (g_col - (g_col * y).sum(axis=0, keepdims=True))).reshape(n * nb, 1)
+        d_pre = (d_scores @ v_.T) * (1.0 - u_rows * u_rows)  # (T*B, A)
         if v.requires_grad:
-            v._accumulate(u.T @ d_scores)
+            v._accumulate(u_rows.T @ d_scores)
         if proj_k.requires_grad:
             proj_k._accumulate(d_pre)
-        d_q = d_pre.sum(axis=0, keepdims=True)
+        d_q = d_pre.reshape(n, nb, -1).sum(axis=0)
         if wq.requires_grad:
             wq._accumulate(query.data.T @ d_q)
         if query.requires_grad:
@@ -429,28 +474,60 @@ def attention_weights(query: Tensor, wq: Tensor, proj_k: Tensor, v: Tensor) -> T
     return out
 
 
+def attend(weights: Tensor, keys: Tensor) -> Tensor:
+    """Attention contexts (B, K): row j is the sum over t of weights[j, t] * keys[t*B + j].
+
+    The weights are spread into a (B, T*B) matrix that is zero off each row's
+    own keys, so the contexts are one product with the time-major keys.
+    """
+    w = weights.data
+    nb, n = w.shape
+    rows = None
+    if nb == 1:
+        spread = w  # a single row is its own spread
+    else:
+        rows = np.arange(nb)
+        spread = np.zeros((nb, n, nb))
+        spread[rows, :, rows] = w
+        spread = spread.reshape(nb, n * nb)
+    out = Tensor(spread @ keys.data, (weights, keys))
+
+    def backward(g):
+        if weights.requires_grad:
+            d_spread = g @ keys.data.T
+            weights._accumulate(d_spread if rows is None else d_spread.reshape(nb, n, nb)[rows, :, rows])
+        if keys.requires_grad:
+            keys._accumulate(spread.T @ g)
+
+    out._backward = backward
+    return out
+
+
 def pointer_mixture(
     feat: Tensor, w_out: Tensor, b_out: Tensor, w_gate: Tensor, b_gate: Tensor,
-    weights: Tensor, src_ids: list[int], width: int,
+    weights: Tensor, src_ids, width: int,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Pointer-generator output distribution (1, width) as one node.
+    """Pointer-generator output distributions (B, width) as one node.
 
     probs = gate * [softmax(feat @ W_out + b_out), zero-padded to `width`]
           + (1 - gate) * copy,
-    with gate = sigmoid(feat @ w_gate + b_gate) and copy the (1, T) attention
-    weights scatter-added onto columns `src_ids`.  Returns the node, the gate
-    (1, 1) and the copy distribution (1, width) as plain arrays.
+    with gate = sigmoid(feat @ w_gate + b_gate) and copy row j the (B, T)
+    attention weights of row j scatter-added onto its columns `src_ids[j]`
+    (a list is one row).  Columns past a row's own copy extension get
+    probability 0.  Returns the node, the gate (B, 1) and the copy
+    distributions (B, width) as plain arrays.
     """
-    idx = np.asarray(src_ids, dtype=np.intp)
-    if weights.data.shape != (1, len(src_ids)):
-        raise ValueError(f"weights shape {weights.data.shape} does not match {len(src_ids)} ids")
+    idx = np.atleast_2d(np.asarray(src_ids, dtype=np.intp))
+    if weights.data.shape != idx.shape:
+        raise ValueError(f"weights shape {weights.data.shape} does not match ids of shape {idx.shape}")
     f, wo, wg = feat.data, w_out.data, w_gate.data
     p = _softmax(f @ wo + b_out.data, axis=1)
-    n_vocab = p.shape[1]
-    p_pad = p if width == n_vocab else np.concatenate([p, np.zeros((1, width - n_vocab))], axis=1)
+    nb, n_vocab = p.shape
+    p_pad = p if width == n_vocab else np.concatenate([p, np.zeros((nb, width - n_vocab))], axis=1)
     gate = _sigmoid(f @ wg + b_gate.data)
-    copy = np.zeros((1, width))
-    np.add.at(copy[0], idx, weights.data[0])
+    # Row j's columns are offset by j * width in the flattened (B, width) result.
+    cells = idx.ravel() if nb == 1 else (idx + (np.arange(nb) * width)[:, None]).ravel()
+    copy = np.bincount(cells, weights=weights.data.ravel(), minlength=nb * width).reshape(nb, width)
     out = Tensor(gate * p_pad + (1.0 - gate) * copy, (feat, w_out, b_out, w_gate, b_gate, weights))
 
     def backward(g):
@@ -462,37 +539,46 @@ def pointer_mixture(
         if w_out.requires_grad:
             w_out._accumulate(f.T @ d_logits)
         if b_out.requires_grad:
-            b_out._accumulate(d_logits)
+            b_out._accumulate(d_logits.sum(axis=0, keepdims=True))
         if w_gate.requires_grad:
             w_gate._accumulate(f.T @ d_gate)
         if b_gate.requires_grad:
-            b_gate._accumulate(d_gate)
+            b_gate._accumulate(d_gate.sum(axis=0, keepdims=True))
         if weights.requires_grad:
-            weights._accumulate((1.0 - gate) * g[:, idx])
+            weights._accumulate((1.0 - gate) * np.take_along_axis(g, idx, axis=1))
 
     out._backward = backward
     return out, gate, copy
 
 
-def mean_nll(rows: list[Tensor], ids: list[int], eps: float) -> Tensor:
-    """Mean over i of -log(rows[i][0, ids[i]] + eps) as one (1, 1) node.
+def mean_nll(rows: list[Tensor], ids, eps: float, lengths=None) -> Tensor:
+    """Each batch row's mean over its steps of -log(rows[t][j, ids[j][t]] + eps), as one (B, 1) node.
 
-    Backward writes into the picked entry of each row's gradient only.
+    `rows` holds one (B, W) distribution per step and `ids` is (B, T) (a flat
+    list is one row); row j counts its first `lengths[j]` steps only (all T
+    without `lengths`).  Backward writes into the picked entries only.
     """
     n = len(rows)
-    if n == 0 or n != len(ids):
-        raise ValueError(f"{n} rows vs {len(ids)} ids")
-    shifted = np.array([row.data[0, i] for row, i in zip(rows, ids)]) + eps
-    total = 0.0
-    for nll in -np.log(shifted):  # left to right, as adding the per-token losses one by one
-        total += nll
-    out = Tensor(np.array([[total * (1.0 / n)]]), tuple(rows))
+    idx = np.atleast_2d(np.asarray(ids, dtype=np.intp))
+    if n == 0 or idx.shape[1] != n:
+        raise ValueError(f"{n} rows vs {idx.shape[1]} ids")
+    nb = idx.shape[0]
+    counts = np.full(nb, n) if lengths is None else np.asarray(lengths)
+    valid = np.arange(n)[None, :] < counts[:, None]  # (B, T)
+    batch = np.arange(nb)
+    shifted = np.stack([row.data[batch, idx[:, t]] for t, row in enumerate(rows)], axis=1) + eps
+    nll = np.where(valid, -np.log(shifted), 0.0)
+    total = np.zeros(nb)
+    for t in range(n):  # left to right, as adding the per-token losses one by one
+        total += nll[:, t]
+    out = Tensor((total * (1.0 / counts))[:, None], tuple(rows))
 
     def backward(g):
-        d = -(g[0, 0] * (1.0 / n)) / shifted
-        for row, i, d_i in zip(rows, ids, d):
+        d = -(g * (1.0 / counts)[:, None]) / shifted
+        for t, row in enumerate(rows):
             if row.requires_grad:
-                row._accumulate_at((0, i), d_i)
+                live = valid[:, t]
+                row._accumulate_at((batch[live], idx[live, t]), d[live, t])
 
     out._backward = backward
     return out

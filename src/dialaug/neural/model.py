@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .vocab import Vocab, CopyExtension, UNK_ID, BOS_ID, EOS_ID, SEP
+from .vocab import Vocab, CopyExtension, PAD_ID, UNK_ID, BOS_ID, EOS_ID, SEP
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +49,7 @@ class ModelConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
+    # Instances per optimizer step; a batch runs as one padded (B, ·) pass.
     batch_size: int = 32
     clip_norm: float = 5.0
     init_scale: float = 0.08
@@ -124,7 +125,12 @@ def _layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class ModelParams:
-    """All trainable tensors, with a stable flat-vector view."""
+    """All trainable tensors as views into one flat float64 parameter buffer.
+
+    `data` holds every parameter and `grad` every gradient, both in layout
+    order; each tensor's `.data` and `.grad` is a view into them, so an
+    optimizer updates the buffer in place and clearing gradients is one fill.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
         if cfg.vocab_size <= 0:
@@ -132,42 +138,43 @@ class ModelParams:
         self.cfg = cfg
         self.layout = _layout(cfg)
         rng = rng or np.random.Generator(np.random.PCG64(cfg.seed))
+        sizes = [int(np.prod(shape)) for _, shape in self.layout]
+        self.data = np.empty(sum(sizes))
+        self.grad = np.zeros(sum(sizes))
         self.tensors: dict[str, Tensor] = {}
-        for name, shape in self.layout:
-            data = rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape)
-            self.tensors[name] = ad.param(data)
+        offset = 0
+        for (name, shape), size in zip(self.layout, sizes):
+            view = self.data[offset : offset + size].reshape(shape)
+            view[...] = rng.uniform(-cfg.init_scale, cfg.init_scale, size=shape)
+            tensor = ad.param(view)
+            tensor.grad = self.grad[offset : offset + size].reshape(shape)
+            self.tensors[name] = tensor
+            offset += size
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
     @property
     def n_params(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
+        return self.data.size
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.tensors[n].data.ravel() for n, _ in self.layout])
+        return self.data.copy()
 
     def load_flat(self, vec: np.ndarray) -> None:
         if vec.size != self.n_params:
             raise ValueError(f"expected {self.n_params} values, got {vec.size}")
-        offset = 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape))
-            self.tensors[name].data = vec[offset : offset + size].reshape(shape).astype(np.float64)
-            offset += size
+        self.data[:] = np.ravel(vec)
 
     def grad_flat(self) -> np.ndarray:
-        parts = []
-        for name, shape in self.layout:
-            g = self.tensors[name].grad
-            parts.append(np.zeros(int(np.prod(shape))) if g is None else g.ravel())
-        return np.concatenate(parts)
+        return self.grad.copy()
 
     def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.grad = None
+        self.grad.fill(0.0)
 
     def check_finite(self) -> None:
+        if np.isfinite(self.data).all():
+            return
         for name, _ in self.layout:
             if not np.all(np.isfinite(self.tensors[name].data)):
                 raise TrainingError(f"non-finite values in parameter {name!r}")
@@ -175,92 +182,135 @@ class ModelParams:
 
 @dataclass
 class Encoding:
-    hiddens: Tensor  # (T, 2H)
-    final: Tensor  # (1, 2H)
-    tokens: list[str]
+    """Encoder outputs of a batch of B rows."""
+
+    hiddens: Tensor  # (T*B, 2H), time-major: row t*B + j is position t of row j
+    final: Tensor  # (B, 2H)
+    tokens: list[list[str]]  # each row's tokens
+    lengths: np.ndarray  # (B,) tokens per row; later positions are padding
 
 
-def encode(params: ModelParams, token_ids: list[int], tokens: list[str]) -> Encoding:
-    """Bi-directional recurrent pass; per-position hidden is the concatenation of directions."""
-    cfg = params.cfg
-    if len(token_ids) > cfg.max_encode_len:
-        log.warning("encoder input of %d tokens truncated to %d", len(token_ids), cfg.max_encode_len)
-        token_ids = token_ids[: cfg.max_encode_len]
-        tokens = tokens[: cfg.max_encode_len]
+def encode(params: ModelParams, token_ids: list[list[int]], tokens: list[list[str]]) -> Encoding:
+    """Bi-directional recurrent pass over a batch of token rows.
+
+    A position's hidden is the concatenation of both directions' states, and
+    a row's final state concatenates the forward state after its last token
+    with the backward state after its first.  A row longer than
+    `max_encode_len` keeps its last tokens: the user turn and the belief come
+    last, the oldest context first.
+    """
+    keep = params.cfg.max_encode_len
     if not token_ids:
-        raise ValueError("encoder input must be non-empty")
-    emb = ad.gather_rows(params["embed"], token_ids)  # (T, E)
+        raise ValueError("encoder input must have at least one row")
+    rows_ids, rows_tokens = [], []
+    for ids, toks in zip(token_ids, tokens):
+        if len(ids) > keep:
+            log.warning("encoder input of %d tokens truncated to its last %d", len(ids), keep)
+            ids, toks = ids[-keep:], toks[-keep:]
+        if not ids:
+            raise ValueError("encoder input must be non-empty")
+        rows_ids.append(ids)
+        rows_tokens.append(list(toks))
+    lengths = np.array([len(ids) for ids in rows_ids])
+    nb, n = len(rows_ids), int(lengths.max())
+    grid = np.full((n, nb), PAD_ID, dtype=np.intp)
+    for j, ids in enumerate(rows_ids):
+        grid[: len(ids), j] = ids
+    emb = ad.gather_rows(params["embed"], grid.ravel())  # (T*B, E)
     fwd, bwd = (
-        ad.gru_sequence(emb, params[f"enc.{d}.Wx"], params[f"enc.{d}.Uh"], params[f"enc.{d}.b"], reverse=d == "bwd")
+        ad.gru_sequence(
+            emb, params[f"enc.{d}.Wx"], params[f"enc.{d}.Uh"], params[f"enc.{d}.b"],
+            reverse=d == "bwd", lengths=lengths,
+        )
         for d in ("fwd", "bwd")
     )
+    # Padding positions repeat the forward state, so its last block holds every row's final state.
     return Encoding(
         hiddens=ad.concat([fwd, bwd], axis=1),
-        final=ad.concat([ad.narrow(fwd, 0, len(token_ids) - 1, 1), ad.narrow(bwd, 0, 0, 1)], axis=1),
-        tokens=list(tokens),
+        final=ad.concat([ad.narrow(fwd, 0, (n - 1) * nb, nb), ad.narrow(bwd, 0, 0, nb)], axis=1),
+        tokens=rows_tokens,
+        lengths=lengths,
     )
 
 
 class AttentionSite:
-    """Additive attention over a fixed key matrix; key projections are shared across steps."""
+    """Additive attention over a batch of key sequences; key projections are shared across steps."""
 
-    def __init__(self, params: ModelParams, prefix: str, keys: Tensor):
+    def __init__(self, params: ModelParams, prefix: str, keys: Tensor, lengths: np.ndarray):
         self.keys = keys
+        # Without padding the weights need no mask.
+        self.lengths = lengths if (lengths < keys.shape[0] // lengths.size).any() else None
         self.wq = params[f"{prefix}.Wq"]
         self.v = params[f"{prefix}.v"]
-        self.proj_k = ad.add(ad.matmul(keys, params[f"{prefix}.Wk"]), params[f"{prefix}.b"])  # (T, A)
+        self.proj_k = ad.add(ad.matmul(keys, params[f"{prefix}.Wk"]), params[f"{prefix}.b"])  # (T*B, A)
 
     def __call__(self, query: Tensor) -> tuple[Tensor, Tensor]:
-        """(context row (1, K), attention weights (1, T)) for a (1, H) query."""
-        weights = ad.attention_weights(query, self.wq, self.proj_k, self.v)
-        return ad.matmul(weights, self.keys), weights
+        """(context rows (B, K), attention weights (B, T)) for (B, H) queries."""
+        weights = ad.attention_weights(query, self.wq, self.proj_k, self.v, self.lengths)
+        return ad.attend(weights, self.keys), weights
 
 
 @dataclass
 class DecodeStep:
-    probs: Tensor  # (1, extended vocab width): mixture distribution
-    copy_probs: Tensor  # (1, extended vocab width): copy component alone (constant)
-    gate: Tensor  # (1, 1) (constant)
-    hidden: Tensor  # (1, H)
+    probs: Tensor  # (B, widest extended vocab of the batch): mixture distributions
+    copy_probs: Tensor  # (B, same width): copy component alone (constant)
+    gate: Tensor  # (B, 1) (constant)
+    hidden: Tensor  # (B, H)
 
 
 class Decoder:
-    """One decoding head bound to its attention sites and copy source."""
+    """One decoding head over a batch of rows, bound to its attention sites and copy sources.
+
+    Row j copies from the tokens of its encoder row through its own copy
+    extension `exts[j]`.  `cross_keys` are the previous decoder's hiddens
+    (time-major, `cross_lengths` steps per row), and the response decoder
+    reads each row's database bucket on its first step.  After a run,
+    `lengths` holds each row's number of steps.
+    """
 
     def __init__(
         self,
         params: ModelParams,
         name: str,
         encoding: Encoding,
-        ext: CopyExtension,
+        exts: list[CopyExtension],
         cross_keys: Tensor | None = None,
-        db_bucket: int | None = None,
+        cross_lengths: np.ndarray | None = None,
+        db_buckets: list[int] | None = None,
     ):
-        if (cross_keys is None) != (name == "action"):
+        if (cross_keys is None) != (name == "action") or (cross_keys is None) != (cross_lengths is None):
             raise ValueError(f"decoder {name!r} cross-attention wiring is wrong")
-        if (db_bucket is not None) != (name == "response"):
+        if (db_buckets is not None) != (name == "response"):
             raise ValueError("db bucket applies to the response decoder only")
+        if len(exts) != len(encoding.tokens):
+            raise ValueError(f"{len(exts)} copy extensions for {len(encoding.tokens)} rows")
         self.params = params
         self.name = name
-        self.ext = ext
-        self.att_enc = AttentionSite(params, f"dec.{name}.att_enc", encoding.hiddens)
-        self.att_cross = AttentionSite(params, f"dec.{name}.att_cross", cross_keys) if cross_keys is not None else None
-        self.src_ids = [ext.source_id(t) for t in encoding.tokens]
-        self.db_bucket = db_bucket
+        self.exts = exts
+        self.att_enc = AttentionSite(params, f"dec.{name}.att_enc", encoding.hiddens, encoding.lengths)
+        self.att_cross = (
+            AttentionSite(params, f"dec.{name}.att_cross", cross_keys, cross_lengths) if cross_keys is not None else None
+        )
+        # Padding positions have attention weight 0, so any column serves them.
+        self.src_ids = np.zeros((len(exts), int(encoding.lengths.max())), dtype=np.intp)
+        for j, (ext, toks) in enumerate(zip(exts, encoding.tokens)):
+            self.src_ids[j, : len(toks)] = [ext.source_id(t) for t in toks]
+        self.width = max(ext.width for ext in exts)
+        if db_buckets is not None:
+            self.db_flags = np.zeros((len(exts), DB_BUCKETS))
+            self.db_flags[np.arange(len(exts)), db_buckets] = 1.0
         self.cell = [params[f"dec.{name}.cell.{k}"] for k in ("Wx", "Uh", "b")]
         self.out = [params[f"dec.{name}.{k}"] for k in ("out.W", "out.b", "gate.w", "gate.b")]
         self.state = ad.tanh(
             ad.add(ad.matmul(encoding.final, params[f"dec.{name}.init.W"]), params[f"dec.{name}.init.b"])
         )
         self.first_step = True
+        self.lengths: np.ndarray | None = None
 
     def step(self, x_emb: Tensor) -> DecodeStep:
         inputs = [x_emb]
         if self.name == "response":
-            flag = np.zeros((1, DB_BUCKETS))
-            if self.first_step:
-                flag[0, self.db_bucket] = 1.0
-            inputs.append(ad.const(flag))
+            inputs.append(ad.const(self.db_flags if self.first_step else np.zeros_like(self.db_flags)))
         self.first_step = False
 
         ctx_enc, w_enc = self.att_enc(self.state)
@@ -270,143 +320,191 @@ class Decoder:
 
         self.state = ad.gru_cell(ad.concat(inputs + ctx, axis=1), self.state, *self.cell)
         probs, gate, copy = ad.pointer_mixture(
-            ad.concat([self.state] + ctx, axis=1), *self.out, w_enc, self.src_ids, self.ext.width
+            ad.concat([self.state] + ctx, axis=1), *self.out, w_enc, self.src_ids, self.width
         )
         return DecodeStep(probs=probs, copy_probs=ad.const(copy), gate=ad.const(gate), hidden=self.state)
 
-    def run_teacher(self, vocab: Vocab, target_tokens: list[str]) -> tuple[list[DecodeStep], list[int]]:
-        """Teacher-forced pass; returns per-step outputs and extended target ids (incl. EOS)."""
-        teacher_ids = [BOS_ID] + [vocab.id(t) for t in target_tokens]
-        target_ids = [self.ext.target_id(t) for t in target_tokens] + [EOS_ID]
-        emb = ad.gather_rows(self.params["embed"], teacher_ids)
-        steps = []
-        for i in range(len(teacher_ids)):
-            steps.append(self.step(ad.narrow(emb, 0, i, 1)))
-        return steps, target_ids
+    def run_teacher(self, vocab: Vocab, targets: list[list[str]]) -> tuple[list[DecodeStep], list[list[int]]]:
+        """Teacher-forced pass; returns per-step outputs and each row's extended target ids (incl. EOS)."""
+        nb = len(targets)
+        self.lengths = np.array([len(toks) + 1 for toks in targets])
+        n = int(self.lengths.max())
+        teacher = np.full((n, nb), PAD_ID, dtype=np.intp)
+        target_ids = []
+        for j, (ext, toks) in enumerate(zip(self.exts, targets)):
+            teacher[: len(toks) + 1, j] = [BOS_ID] + [vocab.id(t) for t in toks]
+            target_ids.append([ext.target_id(t) for t in toks] + [EOS_ID])
+        emb = ad.gather_rows(self.params["embed"], teacher.ravel())  # (T*B, E)
+        return [self.step(ad.narrow(emb, 0, t * nb, nb)) for t in range(n)], target_ids
 
-    def run_greedy(self, vocab: Vocab, max_len: int) -> tuple[list[DecodeStep], list[str]]:
-        """Greedy decode until EOS or max_len; returns steps and emitted tokens (EOS excluded)."""
-        prev_id = BOS_ID
+    def run_greedy(self, vocab: Vocab, max_len: int) -> tuple[list[DecodeStep], list[list[str]]]:
+        """Greedy decode until every row has emitted EOS or max_len steps ran.
+
+        Returns the steps and each row's emitted tokens (EOS excluded); a row
+        that has finished keeps stepping with the others but emits nothing.
+        """
+        nb = len(self.exts)
+        prev = [BOS_ID] * nb
+        lengths = [0] * nb
+        live = set(range(nb))
         steps: list[DecodeStep] = []
-        tokens: list[str] = []
+        tokens: list[list[str]] = [[] for _ in range(nb)]
         for _ in range(max_len):
-            emb = ad.gather_rows(self.params["embed"], [prev_id])
-            step = self.step(emb)
+            step = self.step(ad.gather_rows(self.params["embed"], prev))
             steps.append(step)
-            choice = int(np.argmax(step.probs.data[0]))
-            if choice == EOS_ID:
+            choice = step.probs.data.argmax(axis=1).tolist()
+            for j in sorted(live):
+                lengths[j] += 1
+                if choice[j] == EOS_ID:
+                    live.discard(j)
+                    continue
+                tokens[j].append(self.exts[j].token(choice[j]))
+                prev[j] = choice[j] if choice[j] < len(vocab) else UNK_ID
+            if not live:
                 break
-            tokens.append(self.ext.token(choice))
-            prev_id = choice if choice < len(vocab) else UNK_ID
+        self.lengths = np.array(lengths)
         return steps, tokens
 
 
-def sequence_nll(steps: list[DecodeStep], target_ids: list[int]) -> Tensor:
-    """Mean per-token negative log-likelihood of the mixture distributions."""
-    if len(steps) != len(target_ids):
-        raise ValueError(f"{len(steps)} steps vs {len(target_ids)} targets")
-    return ad.mean_nll([s.probs for s in steps], target_ids, LOG_EPS)
+def sequence_nll(steps: list[DecodeStep], target_ids: list[list[int]]) -> Tensor:
+    """Each row's mean per-token negative log-likelihood of the mixture distributions, as (B, 1)."""
+    lengths = np.array([len(ids) for ids in target_ids], dtype=np.intp)
+    if len(steps) != lengths.max(initial=0):
+        raise ValueError(f"{len(steps)} steps vs {lengths.max(initial=0)} targets")
+    padded = np.zeros((len(target_ids), len(steps)), dtype=np.intp)
+    for j, ids in enumerate(target_ids):
+        padded[j, : len(ids)] = ids
+    return ad.mean_nll([s.probs for s in steps], padded, LOG_EPS, lengths)
 
 
 @dataclass
 class ForwardResult:
-    total: Tensor
-    loss_action: Tensor
+    """Teacher-forced outputs of a batch of B instances."""
+
+    total: Tensor  # (1, 1): the sum of the rows' totals
+    totals: Tensor  # (B, 1): each row's total
+    loss_action: Tensor  # (B, 1) each, per row
     loss_paraphrase: Tensor
     loss_belief: Tensor
     loss_response: Tensor
     steps: dict[str, list[DecodeStep]]
-    targets: dict[str, list[int]]
-    ext: CopyExtension
+    targets: dict[str, list[list[int]]]  # each row's extended target ids, by decoder
+    exts: list[CopyExtension]
 
-    def components(self) -> dict[str, float]:
+    def _columns(self) -> dict[str, Tensor]:
         return {
-            "total": self.total.item(),
-            "a": self.loss_action.item(),
-            "p": self.loss_paraphrase.item(),
-            "b": self.loss_belief.item(),
-            "r": self.loss_response.item(),
+            "total": self.totals, "a": self.loss_action, "p": self.loss_paraphrase,
+            "b": self.loss_belief, "r": self.loss_response,
         }
 
+    def row_components(self) -> list[dict[str, float]]:
+        """Each row's loss components."""
+        cols = self._columns()
+        return [{k: float(t.data[j, 0]) for k, t in cols.items()} for j in range(self.totals.shape[0])]
 
-def _run_chain(
-    params: ModelParams, vocab: Vocab, context, prev_belief, user_input, run, db_bucket, last: str = "response"
-):
-    """Encode one turn and run the decoders in chain order, up to and including `last`.
+    def components(self) -> dict[str, float]:
+        """Loss components summed over the batch (a batch of one: the instance's own)."""
+        return {k: float(t.data.sum()) for k, t in self._columns().items()}
 
-    The belief decoder reads the input extended by the previous belief; the
-    others read context and user input only, and each decoder after the first
-    attends over the hiddens of the one before.  `run(decoder)` returns the
-    decoder's (steps, output); `db_bucket(outputs so far)` gives the response
-    decoder's database bucket.  Returns the copy extension, and the steps and
-    outputs keyed by decoder name.
+
+def _run_chain(params: ModelParams, vocab: Vocab, rows, run, db_buckets, last: str = "response"):
+    """Encode a batch of turns and run the decoders in chain order, up to and including `last`.
+
+    `rows` holds each turn's (context, prev_belief, user_input).  The belief
+    decoder reads the input extended by the previous belief; the others read
+    context and user input only, and each decoder after the first attends
+    over the hiddens of the one before.  `run(decoder)` returns the
+    decoder's (steps, outputs); `db_buckets(outputs so far)` gives the
+    response decoder's database bucket of every row.  Returns each row's copy
+    extension, and the steps and outputs keyed by decoder name.
     """
-    enc1_tokens = list(context) + [SEP] + list(user_input)
-    enc2_tokens = enc1_tokens + [SEP] + list(prev_belief)
-    ext = CopyExtension(vocab, enc2_tokens)
-    enc1 = encode(params, [vocab.id(t) for t in enc1_tokens], enc1_tokens)
+    enc1_tokens = [list(context) + [SEP] + list(user) for context, _, user in rows]
+    enc2_tokens = [toks + [SEP] + list(belief) for toks, (_, belief, _) in zip(enc1_tokens, rows)]
+    exts = [CopyExtension(vocab, toks) for toks in enc2_tokens]
+
+    def encoded(token_rows):
+        return encode(params, [[vocab.id(t) for t in toks] for toks in token_rows], token_rows)
+
+    enc1 = encoded(enc1_tokens)
     steps: dict[str, list[DecodeStep]] = {}
     outputs: dict = {}
-    cross_keys = None
+    cross_keys = cross_lengths = None
     for name in DECODERS:
-        if name == "belief":
-            encoding = encode(params, [vocab.id(t) for t in enc2_tokens], enc2_tokens)
-        else:
-            encoding = enc1
-        bucket = db_bucket(outputs) if name == "response" else None
-        dec = Decoder(params, name, encoding, ext, cross_keys=cross_keys, db_bucket=bucket)
+        encoding = encoded(enc2_tokens) if name == "belief" else enc1
+        buckets = db_buckets(outputs) if name == "response" else None
+        dec = Decoder(params, name, encoding, exts, cross_keys, cross_lengths, buckets)
         steps[name], outputs[name] = run(dec)
         if name == last:
             break
         cross_keys = ad.concat([s.hidden for s in steps[name]], axis=0)
-    return ext, steps, outputs
+        cross_lengths = dec.lengths
+    return exts, steps, outputs
 
 
-def forward_instance(params: ModelParams, vocab: Vocab, inst, losses: frozenset[str] | None = None) -> ForwardResult:
-    """Teacher-forced forward pass of all four decoders for one training instance.
+def _nll_of_rows(steps: list[DecodeStep], target_ids: list[list[int]], active: np.ndarray) -> Tensor:
+    """Per-row NLL (B, 1), zero for the rows `active` leaves out."""
+    if not active.any():
+        return ad.const(np.zeros((active.size, 1)))
+    nll = sequence_nll(steps, target_ids)
+    return nll if active.all() else ad.mul(nll, ad.const(active[:, None].astype(np.float64)))
 
-    Every decoder always runs (downstream attention needs its hiddens); `losses`
-    masks which components contribute to the total.  A turn without a
+
+def forward_batch(params: ModelParams, vocab: Vocab, instances, losses: frozenset[str] | None = None) -> ForwardResult:
+    """Teacher-forced forward pass of all four decoders over a batch of training instances.
+
+    The batch runs as one pass over padded rows; each row's losses equal its
+    instance's own.  Every decoder always runs (downstream attention needs its
+    hiddens); `losses`, or each instance's own `losses` without it, masks
+    which components contribute to a row's total.  A turn without a
     paraphrase target teacher-forces the paraphrase decoder on the user input
     and contributes zero paraphrase loss.
     """
-    active = losses if losses is not None else inst.losses
-    para_target = inst.paraphrase_target if inst.paraphrase_target is not None else inst.user_input
+    active = [losses if losses is not None else inst.losses for inst in instances]
     gold = {
-        "action": inst.act_target, "para": para_target,
-        "belief": inst.belief_target, "response": inst.response_target,
+        "action": [inst.act_target for inst in instances],
+        "para": [inst.paraphrase_target if inst.paraphrase_target is not None else inst.user_input for inst in instances],
+        "belief": [inst.belief_target for inst in instances],
+        "response": [inst.response_target for inst in instances],
     }
-    ext, steps, targets = _run_chain(
-        params, vocab, inst.context, inst.prev_belief, inst.user_input,
-        run=lambda dec: dec.run_teacher(vocab, list(gold[dec.name])),
-        db_bucket=lambda _outputs: inst.db_bucket,
+    exts, steps, targets = _run_chain(
+        params, vocab, [(inst.context, inst.prev_belief, inst.user_input) for inst in instances],
+        run=lambda dec: dec.run_teacher(vocab, [list(toks) for toks in gold[dec.name]]),
+        db_buckets=lambda _outputs: [inst.db_bucket for inst in instances],
     )
 
-    zero = ad.const(np.zeros((1, 1)))
-    loss_a = sequence_nll(steps["action"], targets["action"]) if "a" in active else zero
-    loss_p = (
-        sequence_nll(steps["para"], targets["para"])
-        if ("p" in active and inst.paraphrase_target is not None)
-        else zero
-    )
-    loss_b = sequence_nll(steps["belief"], targets["belief"]) if "b" in active else zero
-    loss_r = sequence_nll(steps["response"], targets["response"]) if "r" in active else zero
-    total = ad.add(ad.add(loss_a, loss_p), ad.add(loss_b, loss_r))
-    if not np.isfinite(total.data).all():
+    def supervised(key: str) -> np.ndarray:
+        return np.array([key in keys for keys in active])
+
+    has_para = np.array([inst.paraphrase_target is not None for inst in instances])
+    loss_a = _nll_of_rows(steps["action"], targets["action"], supervised("a"))
+    loss_p = _nll_of_rows(steps["para"], targets["para"], supervised("p") & has_para)
+    loss_b = _nll_of_rows(steps["belief"], targets["belief"], supervised("b"))
+    loss_r = _nll_of_rows(steps["response"], targets["response"], supervised("r"))
+    totals = ad.add(ad.add(loss_a, loss_p), ad.add(loss_b, loss_r))
+    bad = np.flatnonzero(~np.isfinite(totals.data[:, 0]))
+    if bad.size:
+        j = int(bad[0])
+        inst = instances[j]
         raise TrainingError(
             f"non-finite loss on dialog {inst.dialog_id!r} turn {inst.turn}: "
-            f"a={loss_a.item()} p={loss_p.item()} b={loss_b.item()} r={loss_r.item()}"
+            f"a={loss_a.data[j, 0]} p={loss_p.data[j, 0]} b={loss_b.data[j, 0]} r={loss_r.data[j, 0]}"
         )
     return ForwardResult(
-        total=total,
+        total=ad.tsum(totals),
+        totals=totals,
         loss_action=loss_a,
         loss_paraphrase=loss_p,
         loss_belief=loss_b,
         loss_response=loss_r,
         steps=steps,
         targets=targets,
-        ext=ext,
+        exts=exts,
     )
+
+
+def forward_instance(params: ModelParams, vocab: Vocab, inst, losses: frozenset[str] | None = None) -> ForwardResult:
+    """`forward_batch` over a batch of one instance."""
+    return forward_batch(params, vocab, [inst], losses)
 
 
 @dataclass
@@ -437,15 +535,17 @@ def generate_turn(
     """
     bucket = 0
 
-    def db_bucket(outputs) -> int:
+    def db_buckets(outputs) -> list[int]:
         nonlocal bucket
         if db_bucket_fn is not None:
-            bucket = int(db_bucket_fn(outputs["belief"]))
-        return bucket
+            bucket = int(db_bucket_fn(outputs["belief"][0]))
+        return [bucket]
 
-    _, _, out = _run_chain(params, vocab, context, prev_belief, user_input, _greedy(params, vocab), db_bucket)
+    _, _, out = _run_chain(
+        params, vocab, [(context, prev_belief, user_input)], _greedy(params, vocab), db_buckets
+    )
     return TurnOutput(
-        action=out["action"], paraphrase=out["para"], belief=out["belief"], response=out["response"],
+        action=out["action"][0], paraphrase=out["para"][0], belief=out["belief"][0], response=out["response"][0],
         db_bucket=bucket,
     )
 
@@ -455,6 +555,6 @@ def generate_paraphrase(
 ) -> list[str]:
     """The paraphrase `generate_turn` would emit, decoding only the action and paraphrase heads."""
     _, _, out = _run_chain(
-        params, vocab, context, prev_belief, user_input, _greedy(params, vocab), db_bucket=None, last="para"
+        params, vocab, [(context, prev_belief, user_input)], _greedy(params, vocab), db_buckets=None, last="para"
     )
-    return out["para"]
+    return out["para"][0]

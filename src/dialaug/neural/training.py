@@ -9,14 +9,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, TrainingError, forward_instance
+# The benchmark's tracer (bench/spans.py) looks `forward_instance` up on this
+# module; training itself runs `forward_batch`.
+from .model import ModelConfig, ModelParams, TrainingError, forward_batch, forward_instance  # noqa: F401
 from .vocab import Vocab
 
 log = logging.getLogger(__name__)
 
 
 class Adam:
-    """Adam with bias correction; moments live in flat-vector order."""
+    """Adam with bias correction; moments live in flat-vector order and the
+    update is applied in place to the parameter buffer."""
 
     def __init__(self, n_params: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
@@ -27,12 +30,20 @@ class Adam:
         self.v = np.zeros(n_params)
 
     def step(self, params: ModelParams, grad: np.ndarray, lr: float) -> None:
+        # The float operations of p -= lr * m_hat / (sqrt(v_hat) + eps), each
+        # written into a buffer instead of a fresh array.
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        params.load_flat(params.flat() - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        denom = self.v / (1.0 - self.beta2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = self.m / (1.0 - self.beta1 ** self.t)
+        update *= lr
+        update /= denom
+        params.data -= update
 
     def state(self) -> dict:
         return {"t": self.t, "m": self.m.copy(), "v": self.v.copy()}
@@ -91,21 +102,31 @@ class PlateauSchedule:
         }
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
+def clip_by_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float, bool]:
+    """(grad scaled down to norm `max_norm` if longer, its norm before, whether it was scaled).
+
+    A `max_norm` of 0 or less disables clipping.
+    """
     norm = float(np.linalg.norm(grad))
     if max_norm > 0 and norm > max_norm:
-        return grad * (max_norm / norm)
-    return grad
+        return grad * (max_norm / norm), norm, True
+    return grad, norm, False
+
+
+def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    return clip_by_norm(grad, max_norm)[0]
 
 
 def mean_loss(params: ModelParams, vocab: Vocab, instances: Sequence) -> dict[str, float]:
-    """Forward-only mean loss components over an instance list."""
-    if not instances:
-        return {"total": 0.0, "a": 0.0, "p": 0.0, "b": 0.0, "r": 0.0}
+    """Forward-only mean loss components over an instance list, in batches of the config's batch size."""
     sums = {"total": 0.0, "a": 0.0, "p": 0.0, "b": 0.0, "r": 0.0}
-    for inst in instances:
-        for k, val in forward_instance(params, vocab, inst).components().items():
-            sums[k] += val
+    if not instances:
+        return sums
+    size = params.cfg.batch_size
+    for start in range(0, len(instances), size):
+        for row in forward_batch(params, vocab, instances[start : start + size]).row_components():
+            for k, val in row.items():
+                sums[k] += val
     return {k: v / len(instances) for k, v in sums.items()}
 
 
@@ -145,7 +166,7 @@ def train(
     adam = Adam(params.n_params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     sched = PlateauSchedule(cfg.learning_rate, cfg.lr_halve_patience, cfg.early_stop_patience)
 
-    best_flat = params.flat().copy()
+    best_flat = params.flat()
     best_adam = adam.state()
     best_dev = float("inf")
     result = TrainResult(params=params, vocab=vocab, cfg=cfg, best_dev=best_dev)
@@ -155,16 +176,19 @@ def train(
         stream = list(instance_fn(epoch, params, vocab))
         train_loss_sum = 0.0
         n_seen = 0
+        grad_norm_max = 0.0
+        clipped_batches = 0
         try:
             for start in range(0, len(stream), cfg.batch_size):
                 batch = stream[start : start + cfg.batch_size]
                 params.zero_grads()
-                for inst in batch:
-                    res = forward_instance(params, vocab, inst)
-                    res.total.backward()
-                    train_loss_sum += res.total.item()
-                    n_seen += 1
-                grad = clip_gradient(params.grad_flat() / len(batch), cfg.clip_norm)
+                res = forward_batch(params, vocab, batch)
+                res.total.backward()
+                train_loss_sum += res.total.item()
+                n_seen += len(batch)
+                grad, norm, clipped = clip_by_norm(params.grad / len(batch), cfg.clip_norm)
+                grad_norm_max = max(grad_norm_max, norm)
+                clipped_batches += clipped
                 adam.step(params, grad, sched.lr)
             params.check_finite()
             dev = mean_loss(params, vocab, dev_instances)
@@ -187,6 +211,8 @@ def train(
                 "lr": event.lr,
                 "improved": event.improved,
                 "halved": event.halved,
+                "grad_norm_max": grad_norm_max,
+                "clipped_batches": clipped_batches,
                 "seconds": round(time.monotonic() - t0, 3),
             }
         )
@@ -196,7 +222,7 @@ def train(
             " (improved)" if event.improved else "",
         )
         if event.improved:
-            best_flat = params.flat().copy()
+            best_flat = params.flat()
             best_adam = adam.state()
             best_dev = dev["total"]
         if event.stop:

@@ -197,20 +197,26 @@ def _greedy_chain(params, vocab, inst, want: str) -> dict:
     enc1_tokens = list(inst.context) + [SEP] + list(inst.user_input)
     enc2_tokens = enc1_tokens + [SEP] + list(inst.prev_belief)
     ext = CopyExtension(vocab, enc2_tokens)
-    enc1 = encode(params, [vocab.id(t) for t in enc1_tokens], enc1_tokens)
-    dec_a = Decoder(params, "action", enc1, ext)
-    steps_a, action = dec_a.run_greedy(vocab, cfg.max_decode("action"))
+    enc1 = encode(params, [[vocab.id(t) for t in enc1_tokens]], [enc1_tokens])
+    dec_a = Decoder(params, "action", enc1, [ext])
+    steps_a, (action,) = dec_a.run_greedy(vocab, cfg.max_decode("action"))
     out = {"action": action}
     if want == "action":
         return out
-    dec_p = Decoder(params, "para", enc1, ext, cross_keys=ad.concat([s.hidden for s in steps_a], axis=0))
-    steps_p, para = dec_p.run_greedy(vocab, cfg.max_decode("para"))
+    dec_p = Decoder(
+        params, "para", enc1, [ext],
+        cross_keys=ad.concat([s.hidden for s in steps_a], axis=0), cross_lengths=dec_a.lengths,
+    )
+    steps_p, (para,) = dec_p.run_greedy(vocab, cfg.max_decode("para"))
     out["para"] = para
     if want == "para":
         return out
-    enc2 = encode(params, [vocab.id(t) for t in enc2_tokens], enc2_tokens)
-    dec_b = Decoder(params, "belief", enc2, ext, cross_keys=ad.concat([s.hidden for s in steps_p], axis=0))
-    _, belief = dec_b.run_greedy(vocab, cfg.max_decode("belief"))
+    enc2 = encode(params, [[vocab.id(t) for t in enc2_tokens]], [enc2_tokens])
+    dec_b = Decoder(
+        params, "belief", enc2, [ext],
+        cross_keys=ad.concat([s.hidden for s in steps_p], axis=0), cross_lengths=dec_p.lengths,
+    )
+    _, (belief,) = dec_b.run_greedy(vocab, cfg.max_decode("belief"))
     out["belief"] = belief
     return out
 

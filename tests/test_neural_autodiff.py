@@ -316,3 +316,117 @@ class TestFusedOps:
             ad.mean_nll([row, row], [0], 1e-12)
         with pytest.raises(ValueError):
             ad.mean_nll([], [], 1e-12)
+
+
+# ---- batched fused ops ---------------------------------------------------------
+#
+# A batch is time-major: row t*B + j of a (T*B, ·) input is position t of
+# sequence j.  Three sequences of lengths 3, 5 and 1 share T = 5; every op must
+# give each sequence what it gives that sequence alone, and padding must not
+# reach any result or gradient.
+
+LENGTHS = np.array([3, 5, 1])
+NB, NT = len(LENGTHS), int(LENGTHS.max())
+VALID = np.arange(NT)[:, None] < LENGTHS[None, :]  # (T, B)
+BATCH_SRC = np.array([[0, 6, 2, 6, 1], [4, 4, 5, 6, 0], [3, 0, 0, 0, 0]])  # (B, T), padded past each length
+
+
+def _rows_of(x: np.ndarray, j: int) -> np.ndarray:
+    """Sequence j's own positions of a time-major (T*B, ·) array."""
+    return x.reshape(NT, NB, -1)[: LENGTHS[j], j]
+
+
+def _batched_mixture(feat, w_out, b_out, w_gate, b_gate, scores):
+    weights = ad.softmax(scores, axis=1)  # padding columns of BATCH_SRC get real weight here
+    return ad.pointer_mixture(feat, w_out, b_out, w_gate, b_gate, weights, BATCH_SRC, WIDTH)[0]
+
+
+BATCHED = {
+    "gru_cell": (ad.gru_cell, ((NB, 4), (NB, H), (4, 3 * H), (H, 3 * H), (1, 3 * H))),
+    "gru_sequence": (
+        lambda *ts: ad.gru_sequence(*ts, lengths=LENGTHS), ((NT * NB, 4), (4, 3 * H), (H, 3 * H), (1, 3 * H)),
+    ),
+    "gru_sequence_reverse": (
+        lambda *ts: ad.gru_sequence(*ts, reverse=True, lengths=LENGTHS),
+        ((NT * NB, 4), (4, 3 * H), (H, 3 * H), (1, 3 * H)),
+    ),
+    "attention_weights": (
+        lambda *ts: ad.attention_weights(*ts, lengths=LENGTHS), ((NB, 2), (2, 3), (NT * NB, 3), (3, 1)),
+    ),
+    "attend": (ad.attend, ((NB, NT), (NT * NB, 3))),
+    "pointer_mixture": (_batched_mixture, ((NB, 4), (4, 5), (1, 5), (4, 1), (1, 1), (NB, NT))),
+    "mean_nll": (
+        lambda a: ad.mean_nll(
+            [ad.softmax(ad.narrow(a, 0, NB * t, NB), axis=1) for t in range(NT)], BATCH_SRC % 5, 1e-12, LENGTHS
+        ),
+        ((NT * NB, 5),),
+    ),
+}
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_finite_differences(self, name):
+        op, shapes = BATCHED[name]
+        check_op(lambda *ts: weighted_sum(op(*ts)), *shapes)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gru_sequence_rows_match_single_runs(self, reverse):
+        rng = np.random.Generator(np.random.PCG64(8))
+        x = rng.uniform(-0.9, 0.9, size=(NT * NB, 4))
+        weights = [rng.uniform(-0.9, 0.9, size=s) for s in GRU_SEQ[1:]]
+        g = rng.uniform(-1.0, 1.0, size=(NT * NB, H)) * VALID.reshape(-1, 1)
+        ts = [ad.param(x)] + [ad.param(w.copy()) for w in weights]
+        out = ad.gru_sequence(*ts, reverse=reverse, lengths=LENGTHS)
+        ad.tsum(ad.mul(out, ad.const(g))).backward()
+        states = out.data.reshape(NT, NB, H)
+        summed = [np.zeros_like(w) for w in weights]
+        for j, n in enumerate(LENGTHS):
+            single = [ad.param(_rows_of(x, j).copy())] + [ad.param(w.copy()) for w in weights]
+            ref = ad.gru_sequence(*single, reverse=reverse)
+            ad.tsum(ad.mul(ref, ad.const(_rows_of(g, j)))).backward()
+            np.testing.assert_allclose(states[:n, j], ref.data, rtol=0, atol=1e-12)
+            pad = states[n:, j]
+            np.testing.assert_array_equal(pad, 0.0 if reverse else np.broadcast_to(ref.data[-1], pad.shape))
+            np.testing.assert_allclose(_rows_of(ts[0].grad, j), single[0].grad, rtol=0, atol=1e-12)
+            assert not ts[0].grad.reshape(NT, NB, -1)[n:, j].any()
+            for acc, t in zip(summed, single[1:]):
+                acc += t.grad
+        for t, want in zip(ts[1:], summed):
+            np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
+
+    def test_attention_rows_match_single_rows(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        shapes = ((NB, 2), (2, 3), (NT * NB, 3), (3, 1), (NT * NB, 4))
+        query, wq, proj, v, keys = (rng.uniform(-0.9, 0.9, size=s) for s in shapes)
+        weights = ad.attention_weights(ad.const(query), ad.const(wq), ad.const(proj), ad.const(v), LENGTHS)
+        ctx = ad.attend(weights, ad.const(keys))
+        assert weights.shape == (NB, NT)
+        np.testing.assert_array_equal(weights.data[~VALID.T], 0.0)
+        for j, n in enumerate(LENGTHS):
+            ref = ad.attention_weights(ad.const(query[j : j + 1]), ad.const(wq), ad.const(_rows_of(proj, j)), ad.const(v))
+            np.testing.assert_allclose(weights.data[j, :n], ref.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ctx.data[j], (ref.data @ _rows_of(keys, j))[0], rtol=0, atol=1e-12)
+
+    def test_mixture_rows_match_single_rows(self):
+        rng = np.random.Generator(np.random.PCG64(10))
+        arrays = [rng.uniform(-0.9, 0.9, size=s) for s in ((NB, 4), (4, 5), (1, 5), (4, 1), (1, 1))]
+        weights = np.where(VALID.T, rng.uniform(0.1, 1.0, size=(NB, NT)), 0.0)
+        weights /= weights.sum(axis=1, keepdims=True)
+        probs, _, _ = ad.pointer_mixture(*map(ad.const, arrays), ad.const(weights), BATCH_SRC, WIDTH)
+        for j, n in enumerate(LENGTHS):
+            width = max(5, int(BATCH_SRC[j, :n].max()) + 1)  # the row's own copy extension
+            row = [ad.const(a[j : j + 1]) if a.shape[0] == NB else ad.const(a) for a in arrays]
+            ref, _, _ = ad.pointer_mixture(*row, ad.const(weights[j : j + 1, :n]), BATCH_SRC[j, :n], width)
+            np.testing.assert_allclose(probs.data[j, :width], ref.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(probs.data[j, width:], 0.0)
+
+    def test_mean_nll_rows_are_own_means(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        rows = [ad.const(rng.uniform(0.05, 1.0, size=(NB, 5))) for _ in range(NT)]
+        ids = BATCH_SRC % 5
+        out = ad.mean_nll(rows, ids, 1e-12, LENGTHS)
+        assert out.shape == (NB, 1)
+        for j, n in enumerate(LENGTHS):
+            want = ad.mean_nll([ad.const(r.data[j : j + 1]) for r in rows[:n]], list(ids[j, :n]), 1e-12)
+            assert out.data[j, 0] == want.item()

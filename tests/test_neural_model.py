@@ -9,10 +9,12 @@ from dialaug.neural.model import (
     ModelParams,
     TrainingError,
     encode,
+    forward_batch,
     forward_instance,
     generate_turn,
     sequence_nll,
 )
+from dialaug.neural.training import mean_loss
 from dialaug.neural.vocab import (
     BOS_ID,
     EOS_ID,
@@ -126,30 +128,77 @@ class TestModelParams:
         with pytest.raises(TrainingError):
             params.check_finite()
 
+    def test_tensors_are_views_of_the_buffers(self, tiny_setup):
+        _, _, _, cfg = tiny_setup
+        params = ModelParams(cfg)
+        params["embed"].data[2, 1] = 7.5
+        assert params.flat()[2 * cfg.embed_dim + 1] == 7.5
+        for name, _ in params.layout:
+            assert np.shares_memory(params[name].data, params.data)
+            assert np.shares_memory(params[name].grad, params.grad)
+
+    def test_flat_does_not_alias(self, tiny_setup):
+        _, _, _, cfg = tiny_setup
+        params = ModelParams(cfg)
+        vec = params.flat()
+        vec[:] = 0.0
+        assert params["embed"].data.any()
+        params.load_flat(vec)
+        vec[:] = 1.0
+        assert not params.flat().any()
+
+    def test_zero_grads(self, tiny_setup):
+        _, instances, vocab, cfg = tiny_setup
+        params = ModelParams(cfg)
+        forward_instance(params, vocab, instances[0]).total.backward()
+        assert params.grad_flat().any()
+        params.zero_grads()
+        assert not params.grad_flat().any()
+        assert all(not params[name].grad.any() for name, _ in params.layout)
+
+    def test_check_finite_names_the_parameter(self, tiny_setup):
+        _, _, _, cfg = tiny_setup
+        params = ModelParams(cfg)
+        params["dec.response.gate.b"].data[0, 0] = np.inf
+        with pytest.raises(TrainingError, match="dec.response.gate.b"):
+            params.check_finite()
+
 
 class TestEncoder:
     def test_shapes(self, tiny_setup):
         _, instances, vocab, cfg = tiny_setup
         params = ModelParams(cfg)
         toks = list(instances[0].user_input)
-        enc = encode(params, [vocab.id(t) for t in toks], toks)
+        enc = encode(params, [[vocab.id(t) for t in toks]], [toks])
         assert enc.hiddens.shape == (len(toks), 2 * cfg.hidden_dim)
         assert enc.final.shape == (1, 2 * cfg.hidden_dim)
-        assert enc.tokens == toks
+        assert enc.tokens == [toks]
 
     def test_empty_rejected(self, tiny_setup):
         _, _, vocab, cfg = tiny_setup
         with pytest.raises(ValueError):
-            encode(ModelParams(cfg), [], [])
+            encode(ModelParams(cfg), [[]], [[]])
 
     def test_truncation_warns(self, tiny_setup, caplog):
         _, _, vocab, cfg = tiny_setup
         params = ModelParams(cfg)
         n = cfg.max_encode_len + 5
         with caplog.at_level("WARNING"):
-            enc = encode(params, [UNK_ID] * n, ["x"] * n)
+            enc = encode(params, [[UNK_ID] * n], [["x"] * n])
         assert enc.hiddens.shape[0] == cfg.max_encode_len
         assert any("truncated" in r.message for r in caplog.records)
+
+    def test_truncation_keeps_the_last_tokens(self, tiny_setup):
+        _, _, vocab, cfg = tiny_setup
+        params = ModelParams(cfg)
+        n = cfg.max_encode_len + 5
+        ids = [5 + i % (len(vocab) - 5) for i in range(n)]
+        toks = [vocab.token(i) for i in ids]
+        long = encode(params, [ids], [toks])
+        tail = encode(params, [ids[-cfg.max_encode_len :]], [toks[-cfg.max_encode_len :]])
+        assert long.tokens == [toks[-cfg.max_encode_len :]]
+        np.testing.assert_array_equal(long.hiddens.data, tail.hiddens.data)
+        np.testing.assert_array_equal(long.final.data, tail.final.data)
 
 
 class TestForward:
@@ -217,10 +266,11 @@ class TestForward:
         )
         assert "zanzibar" not in vocab
         r = forward_instance(params, vocab, oov)
-        assert r.ext.width == len(vocab) + 1
-        ext_id = r.ext.source_id("zanzibar")
+        ext = r.exts[0]
+        assert ext.width == len(vocab) + 1
+        ext_id = ext.source_id("zanzibar")
         step = r.steps["response"][0]
-        assert step.probs.shape == (1, r.ext.width)
+        assert step.probs.shape == (1, ext.width)
         # only the copy component can place mass on the extended id
         assert step.copy_probs.data[0, ext_id] > 0.0
 
@@ -229,36 +279,36 @@ class TestForward:
         params = ModelParams(cfg)
         r = forward_instance(params, vocab, instances[0])
         with pytest.raises(ValueError):
-            sequence_nll(r.steps["action"], r.targets["action"][:-1])
+            sequence_nll(r.steps["action"], [r.targets["action"][0][:-1]])
 
 
 class TestDecoderWiring:
     def _enc(self, params, vocab, tokens):
-        return encode(params, [vocab.id(t) for t in tokens], tokens)
+        return encode(params, [[vocab.id(t) for t in tokens]], [tokens])
 
     def test_action_rejects_cross_keys(self, tiny_setup):
         _, instances, vocab, cfg = tiny_setup
         params = ModelParams(cfg)
         enc = self._enc(params, vocab, list(instances[0].user_input))
-        ext = CopyExtension(vocab, enc.tokens)
+        ext = CopyExtension(vocab, enc.tokens[0])
         with pytest.raises(ValueError):
-            Decoder(params, "action", enc, ext, cross_keys=enc.hiddens)
+            Decoder(params, "action", enc, [ext], cross_keys=enc.hiddens, cross_lengths=enc.lengths)
 
     def test_others_require_cross_keys(self, tiny_setup):
         _, instances, vocab, cfg = tiny_setup
         params = ModelParams(cfg)
         enc = self._enc(params, vocab, list(instances[0].user_input))
-        ext = CopyExtension(vocab, enc.tokens)
+        ext = CopyExtension(vocab, enc.tokens[0])
         with pytest.raises(ValueError):
-            Decoder(params, "belief", enc, ext)
+            Decoder(params, "belief", enc, [ext])
 
     def test_db_bucket_only_for_response(self, tiny_setup):
         _, instances, vocab, cfg = tiny_setup
         params = ModelParams(cfg)
         enc = self._enc(params, vocab, list(instances[0].user_input))
-        ext = CopyExtension(vocab, enc.tokens)
+        ext = CopyExtension(vocab, enc.tokens[0])
         with pytest.raises(ValueError):
-            Decoder(params, "para", enc, ext, cross_keys=enc.hiddens, db_bucket=1)
+            Decoder(params, "para", enc, [ext], cross_keys=enc.hiddens, cross_lengths=enc.lengths, db_buckets=[1])
 
     def test_teacher_steps_cover_targets_plus_eos(self, tiny_setup):
         _, instances, vocab, cfg = tiny_setup
@@ -266,7 +316,7 @@ class TestDecoderWiring:
         r = forward_instance(params, vocab, instances[0])
         inst = instances[0]
         assert len(r.steps["belief"]) == len(inst.belief_target) + 1
-        assert r.targets["belief"][-1] == EOS_ID
+        assert r.targets["belief"][0][-1] == EOS_ID
         assert len(r.steps["action"]) == len(inst.act_target) + 1
 
 
@@ -345,3 +395,63 @@ class TestFullGradient:
             worst = max(worst, rel)
         params.load_flat(base)
         assert worst < 1e-4, f"worst relative error {worst:.3e}"
+
+
+def _mixed_batch(instances):
+    """Rows that differ in encoder and decoder lengths, copy-extension width,
+    DB bucket, paraphrase target and supervised losses."""
+    first = next(i for i in instances if i.turn == 1)
+    later = [i for i in instances if i.turn > 1]
+
+    def variant(inst, **fields):
+        return TrainingInstance.from_json({**inst.to_json(), **fields})
+
+    return [
+        variant(first, user_input=list(first.user_input) + ["zanzibar", "quixotic"], db_bucket=2),
+        variant(later[0], paraphrase_target=None, db_bucket=0),
+        variant(later[1], losses=["a", "b"], db_bucket=1),
+        variant(later[2], user_input=list(later[2].user_input) + ["zanzibar"], losses=["p", "r"]),
+    ]
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestBatch:
+    def test_batch_matches_instances(self, tiny_setup):
+        _, instances, vocab, cfg = tiny_setup
+        batch = _mixed_batch(instances)
+        assert len({len(i.context) for i in batch}) > 1
+        assert len({len(i.response_target) for i in batch}) > 1
+        assert len({i.db_bucket for i in batch}) == 3
+        params = ModelParams(cfg)
+
+        res = forward_batch(params, vocab, batch)
+        res.total.backward()
+        batch_grad = params.grad_flat()
+        assert len({ext.width for ext in res.exts}) == 3
+
+        summed = np.zeros_like(batch_grad)
+        for inst, row in zip(batch, res.row_components()):
+            params.zero_grads()
+            single = forward_instance(params, vocab, inst)
+            single.total.backward()
+            summed += params.grad_flat()
+            for k, want in single.components().items():
+                assert _close(row[k], want), (inst.dialog_id, k, row[k], want)
+        assert res.row_components()[1]["p"] == 0.0
+        assert res.row_components()[2]["r"] == 0.0
+        assert np.abs(batch_grad - summed).max() <= 1e-9 * np.abs(summed).max()
+
+    def test_batched_mean_loss_matches_instances(self, tiny_setup):
+        from dataclasses import replace
+
+        _, instances, vocab, cfg = tiny_setup
+        batch = _mixed_batch(instances) + list(instances[:3])
+        params = ModelParams(replace(cfg, batch_size=3))
+        got = mean_loss(params, vocab, batch)
+        singles = [forward_instance(params, vocab, inst).components() for inst in batch]
+        for k, val in got.items():
+            assert _close(val, sum(c[k] for c in singles) / len(batch)), k
+

@@ -5,6 +5,7 @@ from dialaug.neural.model import ModelParams, TrainingError
 from dialaug.neural.training import (
     Adam,
     PlateauSchedule,
+    clip_by_norm,
     clip_gradient,
     mean_loss,
     train,
@@ -81,6 +82,11 @@ class TestClipGradient:
     def test_zero_max_norm_disables(self):
         g = np.array([10.0, 10.0])
         np.testing.assert_array_equal(clip_gradient(g, 0.0), g)
+
+    def test_reports_norm_and_whether_it_clipped(self):
+        g = np.array([3.0, 4.0])
+        assert clip_by_norm(g, 2.5)[1:] == (5.0, True)
+        assert clip_by_norm(g, 5.0)[1:] == (5.0, False)
 
 
 class TestPlateauSchedule:
@@ -219,3 +225,39 @@ class TestTrainLoop:
         assert np.isfinite(result.params.flat()).all()
         again = mean_loss(result.params, vocab, dev)["total"]
         assert abs(again - result.best_dev) < 1e-12
+
+
+class TestGradientTelemetry:
+    def _run(self, tiny_setup, clip_norm):
+        from dataclasses import replace
+
+        cfg, vocab, fn, dev = _small_run(tiny_setup, max_epochs=2)
+        return train(replace(cfg, clip_norm=clip_norm), vocab, fn, dev)
+
+    def test_clip_that_always_fires(self, tiny_setup):
+        result = self._run(tiny_setup, 1e-6)
+        for row in result.history:
+            assert row["clipped_batches"] == 2  # six instances in batches of four
+            assert row["grad_norm_max"] > 1e-6
+
+    def test_clip_that_never_fires(self, tiny_setup):
+        result = self._run(tiny_setup, 1e9)
+        for row in result.history:
+            assert row["clipped_batches"] == 0
+            assert 0.0 < row["grad_norm_max"] < 1e9
+
+    def test_first_epoch_norm_is_the_pre_clip_batch_norm(self, tiny_setup):
+        from dataclasses import replace
+
+        from dialaug.neural.model import forward_batch
+
+        cfg, vocab, fn, dev = _small_run(tiny_setup, max_epochs=1)
+        cfg = replace(cfg, batch_size=6, clip_norm=1e-6)
+        batch = fn(1, None, vocab)
+        params = ModelParams(cfg)
+        forward_batch(params, vocab, batch).total.backward()
+        want = float(np.linalg.norm(params.grad_flat() / len(batch)))
+        row = train(cfg, vocab, fn, dev).history[0]
+        assert row["clipped_batches"] == 1
+        assert abs(row["grad_norm_max"] - want) <= 1e-12 * want
+

@@ -35,7 +35,7 @@ from .neural import (
     save_checkpoint,
 )
 from .raw_formats import SCHEMAS, ConversionError, convert_raw
-from .textmetrics import SMOOTH_ADD_ONE, SMOOTH_NONE, BleuConfig, corpus_bleu, diversity, sentence_bleu
+from .textmetrics import SMOOTH_ADD_ONE, SMOOTH_NONE, BleuConfig, diversity, sentence_bleu
 
 log = logging.getLogger("dialaug")
 
@@ -328,12 +328,12 @@ def cmd_metrics(args, cfg_data: dict, seed: int) -> int:
     hyp, ref = tokenize(args.hyp), tokenize(args.ref)
     if args.metric == "diversity":
         value = float(diversity(hyp, ref))
-    elif args.corpus_level:
-        cfg = BleuConfig(smoothing=args.smoothing) if args.smoothing else BleuConfig(smoothing=SMOOTH_NONE)
-        value = corpus_bleu([hyp], [ref], cfg)
+    elif not hyp or not ref:
+        raise UsageError("BLEU needs non-empty --hyp and --ref text")
     else:
-        cfg = BleuConfig(smoothing=args.smoothing) if args.smoothing else BleuConfig()
-        value = sentence_bleu(hyp, ref, cfg)
+        # A one-pair corpus scores as its sentence; the flag only changes the default smoothing.
+        default = SMOOTH_NONE if args.corpus_level else SMOOTH_ADD_ONE
+        value = sentence_bleu(hyp, ref, BleuConfig(smoothing=args.smoothing or default))
     sys.stdout.write(f"{value:.10f}\n")
     return EXIT_OK
 

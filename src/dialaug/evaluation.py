@@ -134,8 +134,6 @@ def response_bleu(results: list[DialogResult]) -> float:
             if gold:
                 hyps.append(gen if gen else ["<none>"])
                 refs.append(gold)
-    if not hyps:
-        return 0.0
     return corpus_bleu(hyps, refs, BleuConfig(smoothing=SMOOTH_NONE))
 
 

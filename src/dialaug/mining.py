@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from itertools import combinations
 
-from .corpus import Corpus, Dialog, BeliefState
-from .textmetrics import BleuConfig, sentence_bleu, diversity
-
-log = logging.getLogger(__name__)
+from .corpus import Corpus, Dialog
+# sentence_bleu is not called here; it stays bound because bench/spans.py wraps it at this name.
+from .textmetrics import BleuConfig, bleu_both_ways, diversity, ngram_profile, sentence_bleu  # noqa: F401
 
 TurnRef = tuple[str, int]  # (dialog id, turn index)
 
@@ -114,9 +113,30 @@ def index_by_function(corpus: Corpus, include_requested: bool = True) -> dict[Di
     return index
 
 
-def _delex_tokens(corpus: Corpus, ref: TurnRef) -> tuple[str, ...]:
-    dialog = corpus.get_dialog(ref[0])
-    return dialog.turns[ref[1] - 1].user_delex.tokens
+def _scored_pairs(corpus: Corpus, refs: list[TurnRef], rows, cfg: MiningConfig) -> list[tuple]:
+    """(src, tgt, BLEU of src against tgt, diversity) for the ordered pairs of one
+    bucket whose source index is in `rows` and whose BLEU clears the bar.
+
+    Each turn is profiled once and each unordered pair scored once: one n-gram
+    intersection gives both directions' BLEU, and the symmetric distance is
+    computed once if either direction clears the bar.
+    """
+    toks = [corpus.get_dialog(d).turns[t - 1].user_delex.tokens for d, t in refs]
+    profiles = [ngram_profile(t, cfg.bleu.max_order) for t in toks]
+    out = []
+    for i, j in combinations(range(len(refs)), 2):
+        if i not in rows and j not in rows:
+            continue
+        b_ij, b_ji = bleu_both_ways(profiles[i], profiles[j], cfg.bleu.smoothing)
+        forward = i in rows and b_ij >= cfg.bleu_threshold
+        backward = j in rows and b_ji >= cfg.bleu_threshold
+        if forward or backward:
+            d = float(diversity(toks[i], toks[j]))
+            if forward:
+                out.append((refs[i], refs[j], b_ij, d))
+            if backward:
+                out.append((refs[j], refs[i], b_ji, d))
+    return out
 
 
 def mine_pairs(corpus: Corpus, cfg: MiningConfig = MiningConfig()) -> list[ParaphrasePair]:
@@ -128,20 +148,8 @@ def mine_pairs(corpus: Corpus, cfg: MiningConfig = MiningConfig()) -> list[Parap
     index = index_by_function(corpus, cfg.include_requested_slots)
     pairs: list[ParaphrasePair] = []
     for df in sorted(index):
-        refs = index[df]
-        if len(refs) < 2:
-            continue
-        toks = {ref: _delex_tokens(corpus, ref) for ref in refs}
-        for src in refs:
-            for tgt in refs:
-                if src == tgt:
-                    continue
-                b = sentence_bleu(list(toks[src]), list(toks[tgt]), cfg.bleu)
-                if b < cfg.bleu_threshold:
-                    continue
-                d = float(diversity(toks[src], toks[tgt]))
-                if d < cfg.diversity_threshold:
-                    continue
+        for src, tgt, b, d in _scored_pairs(corpus, index[df], range(len(index[df])), cfg):
+            if d >= cfg.diversity_threshold:
                 pairs.append(ParaphrasePair(src=src, tgt=tgt, function=df, bleu=b, diversity=d))
     pairs.sort(key=lambda p: (p.src, p.tgt))
     return pairs
@@ -160,31 +168,18 @@ def relax_for_orphans(corpus: Corpus, pairs: list[ParaphrasePair], cfg: MiningCo
     covered = {p.src for p in pairs}
     extra: list[ParaphrasePair] = []
     for df in sorted(index):
-        refs = index[df]
-        if len(refs) < 2:
-            continue
-        toks = {ref: _delex_tokens(corpus, ref) for ref in refs}
-        for src in refs:
-            if src in covered:
-                continue
-            candidates = []
-            for tgt in refs:
-                if tgt == src:
-                    continue
-                b = sentence_bleu(list(toks[src]), list(toks[tgt]), cfg.bleu)
-                if b < cfg.bleu_threshold:
-                    continue
-                candidates.append((tgt, b, float(diversity(toks[src], toks[tgt]))))
-            if not candidates:
-                continue
+        rows = {i for i, ref in enumerate(index[df]) if ref not in covered}
+        candidates_of: dict[TurnRef, list] = {}
+        for src, tgt, b, d in _scored_pairs(corpus, index[df], rows, cfg) if rows else ():
+            candidates_of.setdefault(src, []).append((tgt, b, d))
+        for src, candidates in candidates_of.items():
             threshold = cfg.diversity_threshold
             while threshold > cfg.relax_floor:
                 threshold = max(threshold - cfg.relax_step, cfg.relax_floor)
                 passing = [c for c in candidates if c[2] >= threshold]
                 if passing:
                     # Deterministic tie-break: highest diversity, then highest BLEU, then smallest ref.
-                    passing.sort(key=lambda c: (-c[2], -c[1], c[0]))
-                    tgt, b, d = passing[0]
+                    tgt, b, d = min(passing, key=lambda c: (-c[2], -c[1], c[0]))
                     extra.append(ParaphrasePair(src=src, tgt=tgt, function=df, bleu=b, diversity=d, relaxed=True))
                     break
     extra.sort(key=lambda p: (p.src, p.tgt))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 SMOOTH_NONE = "none"
@@ -22,19 +21,32 @@ class BleuConfig:
             raise ValueError(f"unknown smoothing {self.smoothing!r}")
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+# One set per order 1..max_order; see ngram_profile.
+NgramProfile = tuple[frozenset, ...]
 
 
-def _clipped_matches(hyp, ref, n: int) -> tuple[int, int]:
-    """(clipped match count, total hypothesis n-gram count) for order n."""
-    hyp_counts = _ngrams(hyp, n)
-    total = sum(hyp_counts.values())
-    if total == 0:
-        return 0, 0
-    ref_counts = _ngrams(ref, n)
-    matches = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    return matches, total
+def ngram_profile(tokens, max_order: int) -> NgramProfile:
+    """The n-grams of `tokens` for orders 1..max_order, one set of (n-gram, occurrence number) keys per order.
+
+    Numbering the repeats turns each order's multiset of n-grams into a set, so
+    a set's size is the order's n-gram total (order 1: the length), and the
+    clipped match count Σ min(count_a, count_b) is the size of an intersection.
+    """
+    grams = []
+    for n in range(1, max_order + 1):
+        seen: dict = {}
+        keys = []
+        for g in zip(*(tokens[i:] for i in range(n))):
+            k = seen.get(g, 0)
+            seen[g] = k + 1
+            keys.append((g, k))
+        grams.append(frozenset(keys))
+    return tuple(grams)
+
+
+def clipped_matches(a: NgramProfile, b: NgramProfile) -> list[int]:
+    """Clipped n-gram matches per order; symmetric, so one call serves both directions."""
+    return [len(ga & gb) for ga, gb in zip(a, b)]
 
 
 def _combine(matches: list[int], totals: list[int], hyp_len: int, ref_len: int, smoothing: str) -> float:
@@ -65,57 +77,64 @@ def sentence_bleu(hyp: list[str], ref: list[str], cfg: BleuConfig = BleuConfig()
     zero matches are smoothed to (m+1)/(t+1) so short utterances do not
     collapse to zero; pairs sharing no unigrams still score 0.
     """
-    if not hyp or not ref:
-        raise ValueError("sentence_bleu requires non-empty hypothesis and reference")
-    matches, totals = [], []
-    for n in range(1, cfg.max_order + 1):
-        m, t = _clipped_matches(hyp, ref, n)
-        matches.append(m)
-        totals.append(t)
-    return _combine(matches, totals, len(hyp), len(ref), cfg.smoothing)
+    return corpus_bleu([hyp], [ref], cfg)
+
+
+def bleu_both_ways(a: NgramProfile, b: NgramProfile, smoothing: str) -> tuple[float, float]:
+    """(BLEU of a against b, BLEU of b against a), each equal to its sentence_bleu; one intersection serves both."""
+    m = clipped_matches(a, b)
+    ta, tb = [len(g) for g in a], [len(g) for g in b]
+    return _combine(m, ta, ta[0], tb[0], smoothing), _combine(m, tb, tb[0], ta[0], smoothing)
 
 
 def corpus_bleu(hyps: list[list[str]], refs: list[list[str]], cfg: BleuConfig = BleuConfig(smoothing=SMOOTH_NONE)) -> float:
     """Corpus-level BLEU: n-gram statistics are summed over pairs, then combined.
 
-    A singleton corpus equals the unsmoothed sentence_bleu of that pair.
+    A singleton corpus is the sentence_bleu of that pair (unsmoothed by default).
     """
     if len(hyps) != len(refs):
         raise ValueError(f"hyps and refs must have equal length, got {len(hyps)} vs {len(refs)}")
     matches = [0] * cfg.max_order
     totals = [0] * cfg.max_order
-    hyp_len = ref_len = 0
+    ref_len = 0
     for hyp, ref in zip(hyps, refs):
         if not hyp or not ref:
-            raise ValueError("corpus_bleu requires non-empty hypotheses and references")
-        for n in range(1, cfg.max_order + 1):
-            m, t = _clipped_matches(hyp, ref, n)
-            matches[n - 1] += m
-            totals[n - 1] += t
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-    if hyp_len == 0:
-        return 0.0
-    return _combine(matches, totals, hyp_len, ref_len, cfg.smoothing)
+            raise ValueError("BLEU requires non-empty hypotheses and references")
+        h, r = ngram_profile(hyp, cfg.max_order), ngram_profile(ref, cfg.max_order)
+        for n, m in enumerate(clipped_matches(h, r)):
+            matches[n] += m
+            totals[n] += len(h[n])
+        ref_len += len(r[0])
+    # totals[0] sums the hypothesis lengths.  An empty corpus has no counts and scores 0.
+    return _combine(matches, totals, totals[0], ref_len, cfg.smoothing)
 
 
 def diversity(a, b) -> int:
     """Word-level Levenshtein distance between two token sequences.
 
     Insertions, deletions and substitutions all cost 1.  Accepts token lists or
-    anything with a `.tokens` attribute (delexicalized utterances).
+    anything with a `.tokens` attribute (delexicalized utterances).  Bit-parallel
+    over Python ints (Myers 1999, as formulated by Hyyrö 2001): bit i of pv / mv is set when
+    D[i+1][j] - D[i][j] is +1 / -1 in column j, and `score` follows D[len(a)][j].
     """
     ta = list(getattr(a, "tokens", a))
     tb = list(getattr(b, "tokens", b))
     if not ta:
         return len(tb)
-    if not tb:
-        return len(ta)
-    prev = list(range(len(tb) + 1))
-    for i, tok_a in enumerate(ta, start=1):
-        cur = [i] + [0] * len(tb)
-        for j, tok_b in enumerate(tb, start=1):
-            cost = 0 if tok_a == tok_b else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[-1]
+    peq: dict = {}
+    for i, tok in enumerate(ta):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    mask, last = (1 << len(ta)) - 1, 1 << (len(ta) - 1)
+    pv, mv, score = mask, 0, len(ta)
+    for tok in tb:
+        eq = peq.get(tok, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & mask
+        mh = pv & xh
+        score += bool(ph & last) - bool(mh & last)  # never both: a delta is +1, 0 or -1
+        # Row 0 is D[0][j] = j, so a +1 horizontal delta enters at the bottom bit.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score

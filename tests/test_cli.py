@@ -91,6 +91,16 @@ class TestMetrics:
         assert rc == EXIT_OK
         assert capsys.readouterr().out.strip() == "1.0000000000"
 
+    @pytest.mark.parametrize("level", [[], ["--corpus-level"]])
+    @pytest.mark.parametrize("hyp,ref", [("", "a b"), ("a b", ""), ("  ", "a b"), ("", "")])
+    def test_bleu_empty_text_is_usage_error(self, capsys, level, hyp, ref):
+        assert dispatch(["metrics", "bleu", "--hyp", hyp, "--ref", ref, *level]) == EXIT_USAGE
+        assert "non-empty" in capsys.readouterr().err
+
+    def test_diversity_of_empty_text(self, capsys):
+        assert dispatch(["metrics", "diversity", "--hyp", "", "--ref", "a b"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "2.0000000000"
+
     def test_diversity_hand_value(self, capsys):
         rc = dispatch([
             "metrics", "diversity",

@@ -275,7 +275,7 @@ class TestCorpusValidation:
         assert "empty" in str(err.value)
 
     def test_empty_user_utterance_sharing_a_bucket(self, tmp_path):
-        # An empty turn with bucket-mates would reach sentence_bleu in mining.
+        # An empty turn with bucket-mates would reach BLEU scoring in mining.
         from dialaug.synth import synth_corpus
 
         doc = synth_corpus(4).to_json()

@@ -1,5 +1,10 @@
+import copy
+import math
+from collections import Counter
+
 import pytest
 
+from dialaug.corpus import corpus_from_json
 from dialaug.mining import (
     DialogFunction,
     MiningConfig,
@@ -13,7 +18,18 @@ from dialaug.mining import (
     relax_for_orphans,
     targets_by_turn,
 )
+from dialaug.textmetrics import (
+    SMOOTH_ADD_ONE,
+    SMOOTH_NONE,
+    BleuConfig,
+    _combine,
+    bleu_both_ways,
+    diversity,
+    ngram_profile,
+    sentence_bleu,
+)
 
+from conftest import random_token_seq
 from oracles import ref_dialog_function, ref_mine
 
 
@@ -198,3 +214,188 @@ class TestTargets:
         ]
         ranked = targets_by_turn(pairs)[("a", 1)]
         assert [p.tgt for p in ranked] == [("c", 1), ("d", 1), ("b", 1), ("e", 1)]
+
+
+# ---- reference: the pairwise mining loop that bucket scoring replaced --------
+# Kept verbatim (per-call n-gram Counters, Wagner-Fischer distance, every
+# ordered pair scored on its own, relaxation re-scoring its rows) so the
+# bucket scorer must reproduce it exactly, floats included.
+
+
+def _delex_tokens(corpus, ref):
+    dialog = corpus.get_dialog(ref[0])
+    return dialog.turns[ref[1] - 1].user_delex.tokens
+
+
+def _old_ngrams(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _old_clipped_matches(hyp, ref, n: int) -> tuple[int, int]:
+    """(clipped match count, total hypothesis n-gram count) for order n."""
+    hyp_counts = _old_ngrams(hyp, n)
+    total = sum(hyp_counts.values())
+    if total == 0:
+        return 0, 0
+    ref_counts = _old_ngrams(ref, n)
+    matches = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    return matches, total
+
+
+def old_sentence_bleu(hyp, ref, cfg: BleuConfig = BleuConfig()) -> float:
+    if not hyp or not ref:
+        raise ValueError("sentence_bleu requires non-empty hypothesis and reference")
+    matches, totals = [], []
+    for n in range(1, cfg.max_order + 1):
+        m, t = _old_clipped_matches(hyp, ref, n)
+        matches.append(m)
+        totals.append(t)
+    return _combine(matches, totals, len(hyp), len(ref), cfg.smoothing)
+
+
+def old_diversity(a, b) -> int:
+    ta = list(getattr(a, "tokens", a))
+    tb = list(getattr(b, "tokens", b))
+    if not ta:
+        return len(tb)
+    if not tb:
+        return len(ta)
+    prev = list(range(len(tb) + 1))
+    for i, tok_a in enumerate(ta, start=1):
+        cur = [i] + [0] * len(tb)
+        for j, tok_b in enumerate(tb, start=1):
+            cost = 0 if tok_a == tok_b else 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+        prev = cur
+    return prev[-1]
+
+
+def old_mine_pairs(corpus, cfg: MiningConfig = MiningConfig()) -> list[ParaphrasePair]:
+    index = index_by_function(corpus, cfg.include_requested_slots)
+    pairs: list[ParaphrasePair] = []
+    for df in sorted(index):
+        refs = index[df]
+        if len(refs) < 2:
+            continue
+        toks = {ref: _delex_tokens(corpus, ref) for ref in refs}
+        for src in refs:
+            for tgt in refs:
+                if src == tgt:
+                    continue
+                b = old_sentence_bleu(list(toks[src]), list(toks[tgt]), cfg.bleu)
+                if b < cfg.bleu_threshold:
+                    continue
+                d = float(old_diversity(toks[src], toks[tgt]))
+                if d < cfg.diversity_threshold:
+                    continue
+                pairs.append(ParaphrasePair(src=src, tgt=tgt, function=df, bleu=b, diversity=d))
+    pairs.sort(key=lambda p: (p.src, p.tgt))
+    return pairs
+
+
+def old_relax_for_orphans(corpus, pairs, cfg: MiningConfig = MiningConfig()) -> list[ParaphrasePair]:
+    index = index_by_function(corpus, cfg.include_requested_slots)
+    covered = {p.src for p in pairs}
+    extra: list[ParaphrasePair] = []
+    for df in sorted(index):
+        refs = index[df]
+        if len(refs) < 2:
+            continue
+        toks = {ref: _delex_tokens(corpus, ref) for ref in refs}
+        for src in refs:
+            if src in covered:
+                continue
+            candidates = []
+            for tgt in refs:
+                if tgt == src:
+                    continue
+                b = old_sentence_bleu(list(toks[src]), list(toks[tgt]), cfg.bleu)
+                if b < cfg.bleu_threshold:
+                    continue
+                candidates.append((tgt, b, float(old_diversity(toks[src], toks[tgt]))))
+            if not candidates:
+                continue
+            threshold = cfg.diversity_threshold
+            while threshold > cfg.relax_floor:
+                threshold = max(threshold - cfg.relax_step, cfg.relax_floor)
+                passing = [c for c in candidates if c[2] >= threshold]
+                if passing:
+                    passing.sort(key=lambda c: (-c[2], -c[1], c[0]))
+                    tgt, b, d = passing[0]
+                    extra.append(ParaphrasePair(src=src, tgt=tgt, function=df, bleu=b, diversity=d, relaxed=True))
+                    break
+    extra.sort(key=lambda p: (p.src, p.tgt))
+    return extra
+
+
+def assert_same_as_old(corpus, cfg: MiningConfig) -> list[ParaphrasePair]:
+    # ParaphrasePair equality compares every field, floats by ==.
+    mined = mine_pairs(corpus, cfg)
+    assert mined == old_mine_pairs(corpus, cfg)
+    assert relax_for_orphans(corpus, mined, cfg) == old_relax_for_orphans(corpus, mined, cfg)
+    # With nothing covered, relaxation scores every row of every bucket.
+    assert relax_for_orphans(corpus, [], cfg) == old_relax_for_orphans(corpus, [], cfg)
+    return mined
+
+
+EQUIVALENCE_CONFIGS = [
+    MiningConfig(),
+    MiningConfig(include_requested_slots=False),
+    MiningConfig(bleu_threshold=0.1, diversity_threshold=2.0),
+    MiningConfig(bleu_threshold=0.35, diversity_threshold=5.0, relax_step=1.5, relax_floor=1.0),
+    *(
+        MiningConfig(bleu=BleuConfig(max_order=order, smoothing=smoothing))
+        for order in (1, 2, 3, 4)
+        for smoothing in (SMOOTH_ADD_ONE, SMOOTH_NONE)
+    ),
+]
+
+
+class TestBucketScoringEquivalence:
+    def test_metrics_bit_identical_to_old(self, rng):
+        for _ in range(200):
+            a, b = random_token_seq(rng, max_len=20), random_token_seq(rng, max_len=20)
+            assert diversity(a, b) == old_diversity(a, b)
+            for order in (1, 2, 3, 4):
+                for smoothing in (SMOOTH_ADD_ONE, SMOOTH_NONE):
+                    cfg = BleuConfig(order, smoothing)
+                    old = (old_sentence_bleu(a, b, cfg), old_sentence_bleu(b, a, cfg))
+                    assert sentence_bleu(a, b, cfg) == old[0]
+                    assert bleu_both_ways(ngram_profile(a, order), ngram_profile(b, order), smoothing) == old
+
+    @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=repr)
+    def test_mini_corpus(self, mini_corpus, cfg):
+        assert_same_as_old(mini_corpus, cfg)
+
+    @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=repr)
+    def test_synth_corpus(self, synth30, cfg):
+        assert assert_same_as_old(synth30, cfg)
+
+    def test_bleu_passing_one_direction_only(self, mini_corpus_json):
+        # One bucket of three single-turn dialogs.  The short first turn
+        # matches the long second one better than the reverse, but the
+        # brevity penalty pulls its BLEU below the bar while the long turn's
+        # BLEU against the short one (no penalty) clears it.
+        texts = [
+            "british food in the east .",
+            "i would like some british food in the east of town please .",
+            "any british place in the east ?",
+        ]
+        base = mini_corpus_json["dialogs"][0]
+        dialogs = []
+        for i, text in enumerate(texts):
+            d = copy.deepcopy(base)
+            d["id"], d["turns"] = f"x{i}", d["turns"][:1]
+            d["turns"][0]["user"] = text
+            dialogs.append(d)
+        corpus = corpus_from_json(dict(mini_corpus_json, dialogs=dialogs))
+        assert len(index_by_function(corpus)) == 1
+        short, long = (list(_delex_tokens(corpus, (f"x{i}", 1))) for i in (0, 1))
+        forward, backward = old_sentence_bleu(short, long), old_sentence_bleu(long, short)
+        threshold = (forward + backward) / 2
+        penalty = math.exp(1.0 - len(long) / len(short))
+        assert forward < threshold <= backward and forward / penalty > threshold
+        cfg = MiningConfig(bleu_threshold=threshold, diversity_threshold=0.0)
+        mined = assert_same_as_old(corpus, cfg)
+        assert (("x1", 1), ("x0", 1)) in {(p.src, p.tgt) for p in mined}
+        assert (("x0", 1), ("x1", 1)) not in {(p.src, p.tgt) for p in mined}

@@ -132,3 +132,51 @@ class TestDiversity:
         assert diversity(a, a) == 0
         assert diversity(a, b) == diversity(b, a)
         assert diversity(a, c) <= diversity(a, b) + diversity(b, c)
+
+
+class Holder:
+    def __init__(self, tokens):
+        self.tokens = tokens
+
+
+def _seq_pairs(max_size: int):
+    """Pairs of sequences over one small alphabet (1-5 symbols), so matches and repeats are common."""
+    def pair(k):
+        symbols = st.sampled_from(["w", "x", "y", "z", "[slot]"][:k])
+        seq = st.integers(0, max_size).flatmap(lambda n: st.lists(symbols, min_size=n, max_size=n))
+        return st.tuples(seq, seq)
+
+    return st.integers(1, 5).flatmap(pair)
+
+
+class TestOracleProperties:
+    # Up to 150 tokens, so bit vectors cross the 64-bit word boundary.
+    @given(ab=_seq_pairs(150), wrap=st.tuples(st.booleans(), st.booleans()))
+    @settings(max_examples=150, deadline=None)
+    def test_diversity_matches_oracle(self, ab, wrap):
+        a, b = ab
+        want = ref_edit_distance(a, b)
+        got = diversity(Holder(tuple(a)) if wrap[0] else a, Holder(tuple(b)) if wrap[1] else b)
+        assert type(got) is int and got == want
+
+    @given(
+        pair=_seq_pairs(20).filter(lambda p: p[0] and p[1]),
+        order=st.integers(1, 4),
+        smoothing=st.sampled_from([SMOOTH_ADD_ONE, SMOOTH_NONE]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sentence_bleu_matches_oracle(self, pair, order, smoothing):
+        hyp, ref = pair
+        got = sentence_bleu(hyp, ref, BleuConfig(max_order=order, smoothing=smoothing))
+        assert got == pytest.approx(ref_sentence_bleu(hyp, ref, order, smoothing), abs=1e-9)
+
+    @given(
+        pairs=st.lists(_seq_pairs(15).filter(lambda p: p[0] and p[1]), min_size=1, max_size=6),
+        order=st.integers(1, 4),
+        smoothing=st.sampled_from([SMOOTH_ADD_ONE, SMOOTH_NONE]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corpus_bleu_matches_oracle(self, pairs, order, smoothing):
+        hyps, refs = [p[0] for p in pairs], [p[1] for p in pairs]
+        got = corpus_bleu(hyps, refs, BleuConfig(max_order=order, smoothing=smoothing))
+        assert got == pytest.approx(ref_corpus_bleu(hyps, refs, order, smoothing), abs=1e-9)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -234,7 +234,8 @@ def utter_sub(corpus: Corpus, pairs: list[ParaphrasePair]) -> Corpus:
     return Corpus(corpus.ontology, corpus.database, list(corpus.dialogs) + new_dialogs)
 
 
-GenerateFn = Callable[[TrainingInstance], list[str] | None]
+# The epoch's originals in stream order -> one candidate (or None) each; called once per epoch.
+GenerateFn = Callable[[list[TrainingInstance]], list[list[str] | None]]
 
 
 def build_instances(
@@ -254,7 +255,9 @@ def build_instances(
     Each turn yields its original-input instance; each paraphrase candidate
     (mined target or model-generated, per `paraphrase_source`) that passes
     filter_generated yields an adjacent paraphrase-input instance sharing every
-    target.  `self_paraphrase` supervises the paraphrase decoder with the input
+    target.  Model candidates come from one `generate` call over all of the
+    epoch's originals in stream order; they are filtered turn by turn in that
+    order.  `self_paraphrase` supervises the paraphrase decoder with the input
     itself (a copy task) instead of mined targets.
     """
     if paraphrase_source not in ("mined", "model", "none"):
@@ -268,12 +271,12 @@ def build_instances(
     refs = [(dialog, turn) for dialog, turn in corpus.user_turns()]
     order = np.random.Generator(np.random.PCG64(epoch_seed)).permutation(len(refs))
 
-    out: list[TrainingInstance] = []
+    originals: list[TrainingInstance] = []
+    candidates_of: list[list[tuple[str, ...]]] = []  # mined targets, replaced by generations for "model"
     for idx in order:
         dialog, turn = refs[idx]
-        mined = by_turn.get((dialog.id, turn.index), [])[:max_targets]
-        mined_tokens: list[tuple[str, ...]] = []
-        for pair in mined:
+        mined_tokens = []
+        for pair in by_turn.get((dialog.id, turn.index), [])[:max_targets]:
             tgt_dialog = corpus.get_dialog(pair.tgt[0])
             mined_tokens.append(tuple(tgt_dialog.turns[pair.tgt[1] - 1].user_delex.tokens))
 
@@ -283,16 +286,21 @@ def build_instances(
                 para_target = tuple(turn.user_delex.tokens)
             elif mined_tokens:
                 para_target = mined_tokens[0]
-        original = instance_for_turn(corpus, dialog, turn, paraphrase_target=para_target, losses=losses)
-        out.append(original)
+        originals.append(instance_for_turn(corpus, dialog, turn, paraphrase_target=para_target, losses=losses))
+        candidates_of.append(mined_tokens)
 
-        if paraphrase_source == "none" or self_paraphrase:
-            continue
-        if paraphrase_source == "mined":
-            candidates: Iterable[tuple[str, ...]] = mined_tokens
-        else:
-            generated = generate(original)
-            candidates = [tuple(generated)] if generated else []
+    if paraphrase_source == "none" or self_paraphrase:
+        return originals
+    if paraphrase_source == "model":
+        generated = generate(originals)
+        if len(generated) != len(originals):
+            raise ValueError(f"generate returned {len(generated)} results for {len(originals)} instances")
+        candidates_of = [[tuple(g)] if g else [] for g in generated]
+
+    out: list[TrainingInstance] = []
+    for idx, original, candidates in zip(order, originals, candidates_of):
+        dialog, turn = refs[idx]
+        out.append(original)
         for cand in candidates:
             verdict = filter_generated(turn.user_delex, cand, cfg)
             if verdict.passed:
@@ -300,7 +308,7 @@ def build_instances(
                     instance_for_turn(
                         corpus, dialog, turn,
                         user_input=cand,
-                        paraphrase_target=para_target,
+                        paraphrase_target=original.paraphrase_target,
                         is_paraphrase=True,
                         losses=losses,
                     )

@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--bleu-th", type=float, default=None, help="BLEU admission threshold")
     p.add_argument("--div-th", type=float, default=None, help="diversity admission threshold")
-    p.add_argument("--relax-step", type=float, default=None, help="orphan relaxation step")
     p.add_argument("--out", required=True, help="pairs JSONL to write")
     p.add_argument("--orphan-report", default=None, help="JSON report of unpaired turns")
 
@@ -135,7 +134,7 @@ def _load_config_file(path) -> dict:
 
 def _mining_config(cfg_data: dict, args) -> MiningConfig:
     section = dict(cfg_data.get("mining", {}))
-    for flag, key in (("bleu_th", "bleu_threshold"), ("div_th", "diversity_threshold"), ("relax_step", "relax_step")):
+    for flag, key in (("bleu_th", "bleu_threshold"), ("div_th", "diversity_threshold")):
         value = getattr(args, flag, None)
         if value is not None:
             section[key] = value

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .corpus import BeliefState, Corpus, Dialog, Goal, placeholder, split, subsample
 from .mining import MiningConfig, mine_pairs, relax_for_orphans
 from .augment import ALL_LOSSES, LOSS_BELIEF, LOSS_RESPONSE, build_instances, utter_sub
-from .neural.model import ModelConfig, ModelParams, generate_paraphrase, generate_turn
+from .neural.model import ModelConfig, ModelParams, generate_paraphrases, generate_turn
 from .neural.training import TrainResult, train
 from .neural.vocab import Vocab
 from .textmetrics import BleuConfig, SMOOTH_NONE, corpus_bleu
@@ -336,10 +336,19 @@ def mode_losses(mode: str) -> frozenset[str]:
 
 
 def make_paraphrase_generator(params: ModelParams, vocab: Vocab):
-    """Paraphrase-decoder greedy decode as a generation callback for build_instances."""
+    """Paraphrase-decoder greedy decode as the generation callback of build_instances.
 
-    def generate(inst) -> list[str] | None:
-        return generate_paraphrase(params, vocab, inst.context, inst.prev_belief, inst.user_input) or None
+    One call per epoch decodes all originals, in chunks of `params.cfg.batch_size`
+    rows (never more memory than a training step); an empty paraphrase maps to None.
+    """
+    size = params.cfg.batch_size
+
+    def generate(instances) -> list[list[str] | None]:
+        out: list[list[str] | None] = []
+        for start in range(0, len(instances), size):
+            rows = [(i.context, i.prev_belief, i.user_input) for i in instances[start : start + size]]
+            out.extend(para or None for para in generate_paraphrases(params, vocab, rows))
+        return out
 
     return generate
 
@@ -370,31 +379,20 @@ def train_mode(
     else:
         effective_corpus = train_corpus
 
-    def instances_for_vocab():
+    parg = mode == MODE_PARG
+
+    def instances(epoch_seed: int, generate=None):
         return build_instances(
-            effective_corpus, pairs if mode == MODE_PARG else None,
-            paraphrase_source="none", cfg=mining_cfg, epoch_seed=0, losses=losses,
+            effective_corpus, pairs if parg else None,
+            paraphrase_source="model" if generate else "none", generate=generate,
+            cfg=mining_cfg, epoch_seed=epoch_seed, losses=losses,
         )
 
-    vocab = Vocab.build(
-        _vocab_sequences(instances_for_vocab()),
-        reserved=_reserved_tokens(train_corpus),
-    )
+    vocab = Vocab.build(_vocab_sequences(instances(0)), reserved=_reserved_tokens(train_corpus))
     cfg = model_cfg.with_vocab(len(vocab))
 
     def instance_fn(epoch: int, params: ModelParams, vocab_: Vocab):
-        epoch_seed = cfg.seed * 100003 + epoch
-        if mode == MODE_PARG:
-            return build_instances(
-                effective_corpus, pairs,
-                paraphrase_source="model",
-                generate=make_paraphrase_generator(params, vocab_),
-                cfg=mining_cfg, epoch_seed=epoch_seed, losses=losses,
-            )
-        return build_instances(
-            effective_corpus, None, paraphrase_source="none",
-            cfg=mining_cfg, epoch_seed=epoch_seed, losses=losses,
-        )
+        return instances(cfg.seed * 100003 + epoch, make_paraphrase_generator(params, vocab_) if parg else None)
 
     dev_instances = build_instances(dev_corpus, None, paraphrase_source="none", epoch_seed=0, losses=losses)
     return train(cfg, vocab, instance_fn, dev_instances)

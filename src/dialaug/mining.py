@@ -64,7 +64,6 @@ class ParaphrasePair:
 class MiningConfig:
     bleu_threshold: float = 0.2
     diversity_threshold: float = 3.4
-    relax_step: float = 0.5
     relax_floor: float = 0.0
     include_requested_slots: bool = True
     bleu: BleuConfig = field(default_factory=BleuConfig)
@@ -72,8 +71,6 @@ class MiningConfig:
     def __post_init__(self):
         if self.bleu_threshold < 0 or self.diversity_threshold < 0:
             raise ValueError("thresholds must be non-negative")
-        if self.relax_step <= 0:
-            raise ValueError("relax_step must be positive")
 
 
 def extract_dialog_function(dialog: Dialog, t: int, include_requested: bool = True) -> DialogFunction:
@@ -158,12 +155,12 @@ def mine_pairs(corpus: Corpus, cfg: MiningConfig = MiningConfig()) -> list[Parap
 def relax_for_orphans(corpus: Corpus, pairs: list[ParaphrasePair], cfg: MiningConfig = MiningConfig()) -> list[ParaphrasePair]:
     """Additional pairs for turns left without any paraphrase target.
 
-    For each such turn the diversity threshold is lowered by `relax_step` at a
-    time (BLEU threshold unchanged, floor at `relax_floor`); the first
-    threshold admitting at least one bucket-mate contributes the
-    highest-diversity passing candidate, marked relaxed.  Turns in singleton
-    buckets stay orphans.
+    The diversity bar is relaxed from `diversity_threshold` down to `relax_floor`
+    (BLEU bar unchanged): each uncovered turn takes its most diverse candidate
+    reaching the floor, marked relaxed.  Turns in singleton buckets stay orphans.
     """
+    if cfg.diversity_threshold <= cfg.relax_floor:
+        return []
     index = index_by_function(corpus, cfg.include_requested_slots)
     covered = {p.src for p in pairs}
     extra: list[ParaphrasePair] = []
@@ -171,17 +168,12 @@ def relax_for_orphans(corpus: Corpus, pairs: list[ParaphrasePair], cfg: MiningCo
         rows = {i for i, ref in enumerate(index[df]) if ref not in covered}
         candidates_of: dict[TurnRef, list] = {}
         for src, tgt, b, d in _scored_pairs(corpus, index[df], rows, cfg) if rows else ():
-            candidates_of.setdefault(src, []).append((tgt, b, d))
+            if d >= cfg.relax_floor:
+                candidates_of.setdefault(src, []).append((tgt, b, d))
         for src, candidates in candidates_of.items():
-            threshold = cfg.diversity_threshold
-            while threshold > cfg.relax_floor:
-                threshold = max(threshold - cfg.relax_step, cfg.relax_floor)
-                passing = [c for c in candidates if c[2] >= threshold]
-                if passing:
-                    # Deterministic tie-break: highest diversity, then highest BLEU, then smallest ref.
-                    tgt, b, d = min(passing, key=lambda c: (-c[2], -c[1], c[0]))
-                    extra.append(ParaphrasePair(src=src, tgt=tgt, function=df, bleu=b, diversity=d, relaxed=True))
-                    break
+            # Deterministic tie-break: highest diversity, then highest BLEU, then smallest ref.
+            tgt, b, d = min(candidates, key=lambda c: (-c[2], -c[1], c[0]))
+            extra.append(ParaphrasePair(src=src, tgt=tgt, function=df, bleu=b, diversity=d, relaxed=True))
     extra.sort(key=lambda p: (p.src, p.tgt))
     return extra
 

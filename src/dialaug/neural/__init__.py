@@ -16,7 +16,7 @@ from .model import (
     forward_instance,
     sequence_nll,
     generate_turn,
-    generate_paraphrase,
+    generate_paraphrases,
 )
 from .training import Adam, PlateauSchedule, ScheduleEvent, TrainResult, train, mean_loss, clip_gradient
 from .checkpoint import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint, from_result
@@ -26,7 +26,7 @@ __all__ = [
     "PAD_ID", "UNK_ID", "BOS_ID", "EOS_ID", "SEP_ID",
     "ModelConfig", "ModelParams", "TrainingError", "Encoding", "Decoder", "AttentionSite",
     "ForwardResult", "TurnOutput", "encode", "forward_batch", "forward_instance", "sequence_nll",
-    "generate_turn", "generate_paraphrase",
+    "generate_turn", "generate_paraphrases",
     "Adam", "PlateauSchedule", "ScheduleEvent", "TrainResult", "train", "mean_loss", "clip_gradient",
     "Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint", "from_result",
 ]

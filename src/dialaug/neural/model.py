@@ -550,11 +550,8 @@ def generate_turn(
     )
 
 
-def generate_paraphrase(
-    params: ModelParams, vocab: Vocab, context: list[str], prev_belief: list[str], user_input: list[str]
-) -> list[str]:
-    """The paraphrase `generate_turn` would emit, decoding only the action and paraphrase heads."""
-    _, _, out = _run_chain(
-        params, vocab, [(context, prev_belief, user_input)], _greedy(params, vocab), db_buckets=None, last="para"
-    )
-    return out["para"][0]
+def generate_paraphrases(params: ModelParams, vocab: Vocab, rows) -> list[list[str]]:
+    """What `generate_turn` would paraphrase for each (context, prev_belief, user_input)
+    row, decoding only the action and paraphrase heads, all rows as one batch."""
+    _, _, out = _run_chain(params, vocab, rows, _greedy(params, vocab), db_buckets=None, last="para")
+    return out["para"]

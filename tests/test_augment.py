@@ -224,10 +224,8 @@ class TestBuildInstances:
     def test_model_source_uses_callback(self, mini_corpus):
         good = "hello , i am looking for a [food] restaurant in the [area] of town .".split()
 
-        def generate(inst):
-            if inst.dialog_id == "d01" and inst.turn == 1:
-                return list(good)
-            return None
+        def generate(instances):
+            return [list(good) if (i.dialog_id, i.turn) == ("d01", 1) else None for i in instances]
 
         inst = build_instances(mini_corpus, None, paraphrase_source="model", generate=generate)
         paras = [i for i in inst if i.is_paraphrase]
@@ -237,9 +235,37 @@ class TestBuildInstances:
     def test_model_source_filters_bad_candidates(self, mini_corpus):
         inst = build_instances(
             mini_corpus, None, paraphrase_source="model",
-            generate=lambda i: list(i.user_input),  # identity fails diversity
+            generate=lambda batch: [list(i.user_input) for i in batch],  # identity fails diversity
         )
         assert not any(i.is_paraphrase for i in inst)
+
+    def test_model_source_generates_once_in_stream_order(self, mini_corpus, mini_pairs):
+        calls = []
+
+        def generate(instances):
+            calls.append(list(instances))
+            # every turn's own user input, reversed: passes the filter for some turns only
+            return [list(reversed(i.user_input)) for i in instances]
+
+        inst = build_instances(mini_corpus, mini_pairs, paraphrase_source="model", generate=generate, epoch_seed=4)
+        originals = build_instances(mini_corpus, mini_pairs, paraphrase_source="none", epoch_seed=4)
+        assert calls == [originals]
+        assert [i for i in inst if not i.is_paraphrase] == originals
+        paras = [k for k, i in enumerate(inst) if i.is_paraphrase]
+        assert 0 < len(paras) < len(originals)
+        for k in paras:
+            prev = inst[k - 1]
+            assert not prev.is_paraphrase and (prev.dialog_id, prev.turn) == (inst[k].dialog_id, inst[k].turn)
+            assert inst[k].user_input == tuple(reversed(prev.user_input))
+            assert inst[k].paraphrase_target == prev.paraphrase_target
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_model_source_rejects_wrong_length(self, mini_corpus, delta):
+        def generate(instances):
+            return [None] * (len(instances) + delta)
+
+        with pytest.raises(ValueError, match="results for"):
+            build_instances(mini_corpus, None, paraphrase_source="model", generate=generate)
 
     def test_losses_wiring(self, mini_corpus, mini_pairs):
         only_br = frozenset({LOSS_BELIEF, LOSS_RESPONSE})

@@ -51,6 +51,13 @@ class TestUsage:
         assert dispatch(["mine", "--corpus", MINI, "--bleu-th", "-1", "--out", out]) == EXIT_USAGE
         assert "mining config" in capsys.readouterr().err
 
+    def test_relax_step_is_gone(self, tmp_path, capsys):
+        out = str(tmp_path / "pairs.jsonl")
+        cfg = write_config(tmp_path, {"version": 1, "mining": {"relax_step": 0.5}})
+        assert dispatch(["--config", cfg, "mine", "--corpus", MINI, "--out", out]) == EXIT_USAGE
+        assert "mining config" in capsys.readouterr().err
+        assert dispatch(["mine", "--corpus", MINI, "--relax-step", "0.5", "--out", out]) == EXIT_USAGE
+
 
 class TestStats:
     def test_fixture_counts(self, capsys):

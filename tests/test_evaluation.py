@@ -334,6 +334,53 @@ class TestHarness:
 
         monkeypatch.setattr(model, "Decoder", recording)
         generate = make_paraphrase_generator(params, vocab)
-        assert [generate(i) for i in instances] == want
-        # the generator stops after the paraphrase decoder
-        assert heads == ["action", "para"] * len(instances)
+        assert generate(instances) == want
+        # the generator stops after the paraphrase decoder, once per chunk of batch_size rows
+        assert heads == ["action", "para"] * -(-len(instances) // micro_cfg.batch_size)
+
+
+class TestBatchedParaphraseGenerator:
+    """The chunked generator against one `generate_turn` per row: a product over
+    several rows can differ from a single-row one in the last bits and flip an
+    argmax tie, so equality is checked row by row."""
+
+    @pytest.fixture(scope="class")
+    def parg_cell(self):
+        from dialaug.synth import synth_corpus
+
+        corpus = synth_corpus(10, seed=1)
+        cfg = ModelConfig(
+            embed_dim=24, hidden_dim=24, max_epochs=15, batch_size=3, learning_rate=0.01, seed=5,
+            max_decode_action=12, max_decode_paraphrase=20,
+        )
+        result = train_mode(corpus, corpus, MODE_PARG, cfg)
+        return corpus, result.params, result.vocab
+
+    def assert_rows_match(self, params, vocab, instances):
+        from dialaug.evaluation import generate_turn, make_paraphrase_generator
+
+        assert len(instances) % params.cfg.batch_size != 0  # a short last chunk runs
+        assert len({len(i.context) + len(i.user_input) for i in instances}) > 1  # encoder lengths differ
+        want = [
+            generate_turn(params, vocab, list(i.context), list(i.prev_belief), list(i.user_input)).paraphrase or None
+            for i in instances
+        ]
+        assert make_paraphrase_generator(params, vocab)(instances) == want
+        return want
+
+    def test_trained_cell(self, parg_cell):
+        from dialaug.augment import build_instances
+
+        corpus, params, vocab = parg_cell
+        instances = build_instances(corpus, None, paraphrase_source="none", epoch_seed=1)
+        want = self.assert_rows_match(params, vocab, instances)
+        # rows stop decoding at different steps
+        assert len({len(w or ()) for w in want}) > 1
+
+    def test_untrained_cell(self, parg_cell):
+        from dialaug.augment import build_instances
+        from dialaug.neural import ModelParams
+
+        corpus, params, vocab = parg_cell
+        instances = build_instances(corpus, None, paraphrase_source="none", epoch_seed=1)
+        self.assert_rows_match(ModelParams(params.cfg), vocab, instances)

@@ -117,7 +117,9 @@ class TestMinePairs:
         with pytest.raises(ValueError):
             MiningConfig(bleu_threshold=-0.1)
         with pytest.raises(ValueError):
-            MiningConfig(relax_step=0.0)
+            MiningConfig(diversity_threshold=-0.1)
+        with pytest.raises(TypeError):
+            MiningConfig(relax_step=0.5)  # relaxation has no step
 
 
 class TestRelaxation:
@@ -127,7 +129,7 @@ class TestRelaxation:
         assert {p.src[0] for p in extra} == {"d04", "d05"}
         for p in extra:
             assert p.relaxed
-            assert p.diversity == 3.0  # admitted at the first relaxed threshold 2.9
+            assert p.diversity == 3.0  # the most diverse candidate, below the strict bar of 3.4
             assert p.bleu >= 0.2
 
     def test_relaxation_only_adds_uncovered_sources(self, mini_corpus):
@@ -293,7 +295,14 @@ def old_mine_pairs(corpus, cfg: MiningConfig = MiningConfig()) -> list[Paraphras
     return pairs
 
 
-def old_relax_for_orphans(corpus, pairs, cfg: MiningConfig = MiningConfig()) -> list[ParaphrasePair]:
+# The step by which the reference loop lowers the diversity bar; the library
+# has no step, since any step admits the same pairs.
+OLD_RELAX_STEP = 0.5
+
+
+def old_relax_for_orphans(
+    corpus, pairs, cfg: MiningConfig = MiningConfig(), step: float = OLD_RELAX_STEP
+) -> list[ParaphrasePair]:
     index = index_by_function(corpus, cfg.include_requested_slots)
     covered = {p.src for p in pairs}
     extra: list[ParaphrasePair] = []
@@ -317,7 +326,7 @@ def old_relax_for_orphans(corpus, pairs, cfg: MiningConfig = MiningConfig()) -> 
                 continue
             threshold = cfg.diversity_threshold
             while threshold > cfg.relax_floor:
-                threshold = max(threshold - cfg.relax_step, cfg.relax_floor)
+                threshold = max(threshold - step, cfg.relax_floor)
                 passing = [c for c in candidates if c[2] >= threshold]
                 if passing:
                     passing.sort(key=lambda c: (-c[2], -c[1], c[0]))
@@ -342,7 +351,7 @@ EQUIVALENCE_CONFIGS = [
     MiningConfig(),
     MiningConfig(include_requested_slots=False),
     MiningConfig(bleu_threshold=0.1, diversity_threshold=2.0),
-    MiningConfig(bleu_threshold=0.35, diversity_threshold=5.0, relax_step=1.5, relax_floor=1.0),
+    MiningConfig(bleu_threshold=0.35, diversity_threshold=5.0, relax_floor=1.0),
     *(
         MiningConfig(bleu=BleuConfig(max_order=order, smoothing=smoothing))
         for order in (1, 2, 3, 4)
@@ -362,6 +371,22 @@ class TestBucketScoringEquivalence:
                     old = (old_sentence_bleu(a, b, cfg), old_sentence_bleu(b, a, cfg))
                     assert sentence_bleu(a, b, cfg) == old[0]
                     assert bleu_both_ways(ngram_profile(a, order), ngram_profile(b, order), smoothing) == old
+
+    @pytest.mark.parametrize("step", [0.01, 1.5, 3.3, 100.0])
+    @pytest.mark.parametrize("cfg", [
+        MiningConfig(),
+        MiningConfig(bleu_threshold=0.35, diversity_threshold=5.0, relax_floor=1.0),
+        MiningConfig(relax_floor=2.0),
+    ], ids=repr)
+    def test_relaxation_equals_reference_at_any_step(self, mini_corpus, synth30, cfg, step):
+        for corpus in (mini_corpus, synth30):
+            mined = mine_pairs(corpus, cfg)
+            assert relax_for_orphans(corpus, mined, cfg) == old_relax_for_orphans(corpus, mined, cfg, step)
+            assert relax_for_orphans(corpus, [], cfg) == old_relax_for_orphans(corpus, [], cfg, step)
+
+    def test_no_relaxation_when_floor_reaches_threshold(self, mini_corpus):
+        cfg = MiningConfig(diversity_threshold=2.0, relax_floor=2.0)
+        assert relax_for_orphans(mini_corpus, [], cfg) == [] == old_relax_for_orphans(mini_corpus, [], cfg)
 
     @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=repr)
     def test_mini_corpus(self, mini_corpus, cfg):

@@ -15,7 +15,6 @@ from .corpus import (
     Dialog,
     DelexUtterance,
     Turn,
-    TurnContext,
     is_bracket_token,
     relexicalize,
     serialize_acts,
@@ -142,13 +141,14 @@ def instance_for_turn(
     losses: frozenset[str] = ALL_LOSSES,
 ) -> TrainingInstance:
     """Teacher-forced instance for one turn; `user_input` overrides U_t' for paraphrase variants."""
+    before = dialog.context_before(turn.index)
     return TrainingInstance(
         dialog_id=dialog.id,
         turn=turn.index,
         context=tuple(corpus.prev_response(dialog, turn.index)),
-        prev_belief=tuple(corpus.prev_state(dialog, turn.index).serialize(delex=True)),
+        prev_belief=tuple(before.prev_state.serialize(delex=True)),
         user_input=user_input if user_input is not None else tuple(turn.user_delex.tokens),
-        act_target=tuple(serialize_acts(corpus.prev_acts(dialog, turn.index))),
+        act_target=tuple(serialize_acts(before.prev_acts)),
         paraphrase_target=paraphrase_target,
         belief_target=tuple(turn.state.serialize(delex=True)),
         response_target=tuple(turn.response_delex.tokens),
@@ -211,12 +211,6 @@ def utter_sub(corpus: Corpus, pairs: list[ParaphrasePair]) -> Corpus:
             if clone_delex is None:
                 continue
             n_clones += 1
-            context = TurnContext(
-                prev_response=list(dialog.turns[turn.index - 2].response) if turn.index > 1
-                else (list(turn.context.prev_response) if turn.context else []),
-                prev_state=corpus.prev_state(dialog, turn.index),
-                prev_acts=corpus.prev_acts(dialog, turn.index),
-            )
             clone_turn = Turn(
                 index=1,
                 user=relexicalize(clone_delex),
@@ -226,7 +220,7 @@ def utter_sub(corpus: Corpus, pairs: list[ParaphrasePair]) -> Corpus:
                 response=list(turn.response),
                 response_delex=turn.response_delex,
                 domain=turn.domain,
-                context=context,
+                context=dialog.context_before(turn.index),
             )
             new_dialogs.append(Dialog(id=f"{dialog.id}#p{n_clones}", goal=dialog.goal, turns=[clone_turn]))
     if skipped:

@@ -19,6 +19,7 @@ from .corpus import CorpusError, load_canonical, split, tokenize
 from .evaluation import MODE_NONE, MODE_PARG, MODES, EvalCell, EvalReport, evaluate_model, train_mode
 from .mining import (
     MiningConfig,
+    PairFileError,
     export_pairs,
     import_pairs,
     mine_pairs,
@@ -364,7 +365,7 @@ def dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"dialaug: error: {exc}\n")
         return EXIT_USAGE
-    except (CorpusError, ConversionError, CheckpointError, FileNotFoundError) as exc:
+    except (CorpusError, ConversionError, CheckpointError, PairFileError, FileNotFoundError) as exc:
         sys.stderr.write(f"dialaug: error: {exc}\n")
         return EXIT_USAGE
     except TrainingError as exc:

@@ -104,9 +104,6 @@ class Ontology:
                     if not v or not v.strip():
                         raise SchemaViolation(None, None, f"values[{d}][{s}]", "empty value string")
 
-    def slot_names(self, domain: str) -> list[str]:
-        return sorted(self.slots.get(domain, {}))
-
     def informable_slots(self, domain: str) -> list[str]:
         return sorted(s for s, spec in self.slots.get(domain, {}).items() if spec.informable)
 
@@ -190,6 +187,10 @@ class DialogAct:
         if self.slot:
             toks.append(self.slot)
         return toks
+
+    def to_json(self) -> dict:
+        """The corpus-file act entry; `_build_turn` reads it back."""
+        return {"act": self.act_type, "domain": self.domain, **({"slot": self.slot} if self.slot else {})}
 
     def key_token(self) -> str:
         """Compact `act-slot` form used in dialog-function keys."""
@@ -415,7 +416,11 @@ def relexicalize(d: DelexUtterance) -> list[str]:
 
 @dataclass
 class TurnContext:
-    """Context override carried by cloned single-turn dialogs (augmentation output)."""
+    """What came before a turn: the previous system response, belief state and acts.
+
+    `Dialog.context_before` derives it; a cloned single-turn dialog
+    (augmentation output) carries one as its first turn's override.
+    """
 
     prev_response: list[str]
     prev_state: BeliefState
@@ -425,22 +430,8 @@ class TurnContext:
         return {
             "prev_response": " ".join(self.prev_response),
             "prev_state": self.prev_state.to_json(),
-            "prev_acts": [
-                {"act": a.act_type, "domain": a.domain, **({"slot": a.slot} if a.slot else {})}
-                for a in self.prev_acts
-            ],
+            "prev_acts": [a.to_json() for a in self.prev_acts],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TurnContext":
-        return cls(
-            prev_response=tokenize(obj.get("prev_response", "")),
-            prev_state=BeliefState.from_json(obj.get("prev_state", {})),
-            prev_acts=[
-                DialogAct(act_type=a["act"], domain=a["domain"], slot=a.get("slot"))
-                for a in obj.get("prev_acts", [])
-            ],
-        )
 
 
 @dataclass
@@ -460,10 +451,7 @@ class Turn:
             "t": self.index,
             "user": " ".join(self.user),
             "state": self.state.to_json(),
-            "sys_acts": [
-                {"act": a.act_type, "domain": a.domain, **({"slot": a.slot} if a.slot else {})}
-                for a in self.sys_acts
-            ],
+            "sys_acts": [a.to_json() for a in self.sys_acts],
             "response": " ".join(self.response),
             "domain": self.domain,
         }
@@ -511,6 +499,22 @@ class Dialog:
     goal: Goal
     turns: list[Turn]
 
+    def context_before(self, t: int) -> TurnContext:
+        """What came before turn t (1-based), as a fresh copy.
+
+        For t > 1 that is the previous turn's response, state and system acts;
+        for t = 1 it is the turn's `context` override, or an empty context.
+        """
+        if not 1 <= t <= len(self.turns):
+            raise IndexError(f"turn {t} out of range for dialog {self.id!r}")
+        if t > 1:
+            prev = self.turns[t - 2]
+            return TurnContext(list(prev.response), prev.state.copy(), list(prev.sys_acts))
+        ctx = self.turns[0].context
+        if ctx is None:
+            return TurnContext([], BeliefState())
+        return TurnContext(list(ctx.prev_response), ctx.prev_state.copy(), list(ctx.prev_acts))
+
     def to_json(self) -> dict:
         return {"id": self.id, "goal": self.goal.to_json(), "turns": [t.to_json() for t in self.turns]}
 
@@ -548,29 +552,10 @@ class Corpus:
 
     def prev_response(self, dialog: Dialog, index: int) -> list[str]:
         """Delexicalized previous system response for the turn at `index` (1-based)."""
-        turn = dialog.turns[index - 1]
-        if index == 1:
-            if turn.context is not None:
-                prev = turn.context.prev_response
-                return list(delexicalize(prev, self.ontology, turn.context.prev_state).tokens)
-            return []
-        return list(dialog.turns[index - 2].response_delex.tokens)
-
-    def prev_state(self, dialog: Dialog, index: int) -> BeliefState:
-        turn = dialog.turns[index - 1]
-        if index == 1:
-            if turn.context is not None:
-                return turn.context.prev_state.copy()
-            return BeliefState()
-        return dialog.turns[index - 2].state.copy()
-
-    def prev_acts(self, dialog: Dialog, index: int) -> list[DialogAct]:
-        turn = dialog.turns[index - 1]
-        if index == 1:
-            if turn.context is not None:
-                return list(turn.context.prev_acts)
-            return []
-        return list(dialog.turns[index - 2].sys_acts)
+        if index > 1:  # every turn stores its delexicalized response; only an override needs the pass
+            return list(dialog.turns[index - 2].response_delex.tokens)
+        ctx = dialog.context_before(1)
+        return list(delexicalize(ctx.prev_response, self.ontology, ctx.prev_state).tokens)
 
     def db_query(self, domain: str, constraints: dict[tuple[str, str], str]) -> list[dict]:
         """Database records of `domain` matching every (domain, slot) -> value constraint."""
@@ -607,12 +592,18 @@ def _require(obj: dict, key: str, dialog_id: str | None, turn: int | None):
     return obj[key]
 
 
+def _object(value, fieldname: str, dialog_id: str | None, turn: int | None) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolation(dialog_id, turn, fieldname, f"must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _build_turn(obj: dict, ontology: Ontology, dialog_id: str) -> Turn:
     index = _require(obj, "t", dialog_id, None)
     if not isinstance(index, int) or index < 1:
         raise SchemaViolation(dialog_id, None, "t", f"turn index must be an integer >= 1, got {index!r}")
     user_text = _require(obj, "user", dialog_id, index)
-    state_obj = _require(obj, "state", dialog_id, index)
+    state_obj = _object(_require(obj, "state", dialog_id, index), "state", dialog_id, index)
     response_text = _require(obj, "response", dialog_id, index)
     domain = _require(obj, "domain", dialog_id, index)
     if domain not in ontology.domains:
@@ -621,12 +612,17 @@ def _build_turn(obj: dict, ontology: Ontology, dialog_id: str) -> Turn:
     state = BeliefState.from_json(state_obj)
     state.validate(ontology, dialog_id, index)
 
-    acts = []
-    for a in obj.get("sys_acts", []):
-        act = DialogAct(act_type=_require(a, "act", dialog_id, index), domain=a.get("domain", domain), slot=a.get("slot"))
-        act.validate(ontology)
-        acts.append(act)
+    def read_acts(entries, fieldname: str) -> list[DialogAct]:
+        # The one reader of act entries: `act` is required, `domain` defaults to the turn's.
+        acts = []
+        for a in entries:
+            a = _object(a, fieldname, dialog_id, index)
+            act = DialogAct(act_type=_require(a, "act", dialog_id, index), domain=a.get("domain", domain), slot=a.get("slot"))
+            act.validate(ontology)
+            acts.append(act)
+        return acts
 
+    acts = read_acts(obj.get("sys_acts", []), "sys_acts")
     user = tokenize(user_text)
     if not user:
         # Mining and the paraphrase filter score user turns with BLEU, which
@@ -640,10 +636,14 @@ def _build_turn(obj: dict, ontology: Ontology, dialog_id: str) -> Turn:
 
     context = None
     if "context" in obj:
-        context = TurnContext.from_json(obj["context"])
-        context.prev_state.validate(ontology, dialog_id, index)
-        for act in context.prev_acts:
-            act.validate(ontology)
+        ctx_obj = _object(obj["context"], "context", dialog_id, index)
+        prev_state = BeliefState.from_json(_object(ctx_obj.get("prev_state", {}), "context.prev_state", dialog_id, index))
+        prev_state.validate(ontology, dialog_id, index)
+        context = TurnContext(
+            prev_response=tokenize(ctx_obj.get("prev_response", "")),
+            prev_state=prev_state,
+            prev_acts=read_acts(ctx_obj.get("prev_acts", []), "context.prev_acts"),
+        )
     return Turn(
         index=index,
         user=user,
@@ -658,7 +658,7 @@ def _build_turn(obj: dict, ontology: Ontology, dialog_id: str) -> Turn:
 
 
 def corpus_from_json(obj: dict) -> Corpus:
-    ontology = Ontology.from_json(_require(obj, "ontology", None, None))
+    ontology = Ontology.from_json(_object(_require(obj, "ontology", None, None), "ontology", None, None))
     database = list(obj.get("database", []))
     for rec in database:
         dom = rec.get("domain")
@@ -693,7 +693,7 @@ def load_canonical(path) -> Corpus:
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
             raise SchemaViolation(None, None, "<file>", f"not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise SchemaViolation(None, None, "<file>", "top level must be a JSON object")

@@ -166,10 +166,9 @@ def rollout_dialog(params: ModelParams, vocab: Vocab, corpus: Corpus, dialog: Di
     memory = ValueMemory()
     prev_response: list[str] = []
     prev_belief: list[str] = []
-    if dialog.turns and dialog.turns[0].context is not None:
-        ctx = dialog.turns[0].context
-        prev_response = list(corpus.prev_response(dialog, 1))
-        prev_belief = ctx.prev_state.serialize(delex=True)
+    if dialog.turns:
+        prev_response = corpus.prev_response(dialog, 1)
+        prev_belief = dialog.context_before(1).prev_state.serialize(delex=True)
     gen_responses: list[list[str]] = []
     pred_informed: dict[tuple[str, str], str] = {}
     for turn in dialog.turns:

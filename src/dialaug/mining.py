@@ -13,6 +13,10 @@ from .textmetrics import BleuConfig, bleu_both_ways, diversity, ngram_profile, s
 TurnRef = tuple[str, int]  # (dialog id, turn index)
 
 
+class PairFileError(ValueError):
+    """A pairs file line that does not parse as a ParaphrasePair."""
+
+
 @dataclass(frozen=True, order=True)
 class DialogFunction:
     """The role an utterance plays in context: (active domain, slots mentioned, previous system acts)."""
@@ -80,21 +84,12 @@ def extract_dialog_function(dialog: Dialog, t: int, include_requested: bool = Tr
     utterance plus, when `include_requested`, the requested slots added to the
     belief state at this turn.
     """
-    if not (1 <= t <= len(dialog.turns)):
-        raise IndexError(f"turn {t} out of range for dialog {dialog.id!r}")
+    before = dialog.context_before(t)  # raises IndexError for a t out of range
     turn = dialog.turns[t - 1]
     slots = set(turn.user_delex.placeholder_slots())
     if include_requested:
-        prev_requested = dialog.turns[t - 2].state.requested if t > 1 else set()
-        if t == 1 and turn.context is not None:
-            prev_requested = turn.context.prev_state.requested
-        slots |= {s for (_d, s) in (turn.state.requested - prev_requested)}
-    if t > 1:
-        prev_acts = tuple(sorted(a.key_token() for a in dialog.turns[t - 2].sys_acts))
-    elif turn.context is not None:
-        prev_acts = tuple(sorted(a.key_token() for a in turn.context.prev_acts))
-    else:
-        prev_acts = ()
+        slots |= {s for (_d, s) in (turn.state.requested - before.prev_state.requested)}
+    prev_acts = tuple(sorted(a.key_token() for a in before.prev_acts))
     return DialogFunction(domain=turn.domain, slots=tuple(sorted(slots)), prev_acts=prev_acts)
 
 
@@ -208,16 +203,20 @@ def export_pairs(pairs: list[ParaphrasePair], path) -> None:
 
 
 def import_pairs(path) -> list[ParaphrasePair]:
-    pairs = []
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pairs.append(ParaphrasePair.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}: malformed pair on line {lineno}: {e}") from e
+        try:
+            lines = f.read().split("\n")
+        except ValueError as e:  # bytes that are not UTF-8
+            raise PairFileError(f"{path}: not UTF-8 text: {e}") from e
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            pairs.append(ParaphrasePair.from_json(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
+            raise PairFileError(f"{path}: malformed pair on line {lineno}: {e}") from e
     return pairs
 
 

@@ -18,7 +18,7 @@ from .model import (
     generate_turn,
     generate_paraphrases,
 )
-from .training import Adam, PlateauSchedule, ScheduleEvent, TrainResult, train, mean_loss, clip_gradient
+from .training import Adam, PlateauSchedule, ScheduleEvent, TrainResult, train, mean_loss
 from .checkpoint import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint, from_result
 
 __all__ = [
@@ -27,6 +27,6 @@ __all__ = [
     "ModelConfig", "ModelParams", "TrainingError", "Encoding", "Decoder", "AttentionSite",
     "ForwardResult", "TurnOutput", "encode", "forward_batch", "forward_instance", "sequence_nll",
     "generate_turn", "generate_paraphrases",
-    "Adam", "PlateauSchedule", "ScheduleEvent", "TrainResult", "train", "mean_loss", "clip_gradient",
+    "Adam", "PlateauSchedule", "ScheduleEvent", "TrainResult", "train", "mean_loss",
     "Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint", "from_result",
 ]

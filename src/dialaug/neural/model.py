@@ -63,6 +63,10 @@ class ModelConfig:
             raise ValueError("patience values must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        for name in ("batch_size", "max_epochs", "max_encode_len", "max_decode_action",
+                     "max_decode_paraphrase", "max_decode_belief", "max_decode_response"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -113,10 +113,6 @@ def clip_by_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float, 
     return grad, norm, False
 
 
-def clip_gradient(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    return clip_by_norm(grad, max_norm)[0]
-
-
 def mean_loss(params: ModelParams, vocab: Vocab, instances: Sequence) -> dict[str, float]:
     """Forward-only mean loss components over an instance list, in batches of the config's batch size."""
     sums = {"total": 0.0, "a": 0.0, "p": 0.0, "b": 0.0, "r": 0.0}

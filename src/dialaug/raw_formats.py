@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Ontology, SlotSpec, corpus_from_json
+from .corpus import Corpus, DialogAct, SlotSpec, corpus_from_json
 
 log = logging.getLogger(__name__)
 
@@ -54,15 +54,19 @@ def convert_raw(path, schema_id: str, db_path=None) -> tuple[Corpus, ConversionL
     """Convert a raw corpus file to a canonical Corpus plus its conversion log."""
     if schema_id not in SCHEMAS:
         raise ConversionError(f"unknown raw schema {schema_id!r}; expected one of {SCHEMAS}")
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    database = []
-    if db_path is not None:
-        with open(db_path, encoding="utf-8") as f:
-            database = json.load(f)
+    raw = _read_json(path)
+    database = _read_json(db_path) if db_path is not None else []
     if schema_id == SCHEMA_CAMREST:
         return _convert_camrest(raw, database)
     return _convert_multiwoz(raw, database)
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConversionError(f"{path}: not valid JSON: {e}") from e
 
 
 def _slot_key(slot: str) -> str:
@@ -185,10 +189,7 @@ def _convert_camrest(raw, database: list[dict]) -> tuple[Corpus, ConversionLog]:
                         "informed": {domain: dict(informed)},
                         "requested": [[domain, s] for s in sorted(requested) if s in slots],
                     },
-                    "sys_acts": [
-                        {"act": a["act"], "domain": domain, **({"slot": a["slot"]} if a.get("slot") else {})}
-                        for a in acts
-                    ],
+                    "sys_acts": [DialogAct(a["act"], domain, a["slot"]).to_json() for a in acts],
                     "response": str(sys_sent).lower(),
                     "domain": domain,
                 }
@@ -313,10 +314,9 @@ def _convert_multiwoz(raw, database: list[dict]) -> tuple[Corpus, ConversionLog]
                     active_domain = dom
                     for pair in slot_pairs:
                         slot = _slot_key(str(pair[0])) if pair else None
-                        if slot in (None, "none") or slot not in ontology_obj["slots"][dom]:
-                            acts.append({"act": act, "domain": dom})
-                        else:
-                            acts.append({"act": act, "domain": dom, "slot": slot})
+                        if slot == "none" or slot not in ontology_obj["slots"][dom]:
+                            slot = None
+                        acts.append(DialogAct(act, dom, slot).to_json())
             except (ValueError, TypeError, AttributeError) as e:
                 conv.skipped_turns += 1
                 conv.warn(f"dialog {did}: unparseable act annotation in turn {i // 2} ({e}); turn skipped")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, corpus_from_json
+from .corpus import Corpus, DialogAct, corpus_from_json
 
 DOMAIN = "restaurant"
 FOODS = ("italian", "chinese", "indian")
@@ -93,7 +93,7 @@ def synth_corpus(n_dialogs: int = 30, seed: int = 0) -> Corpus:
                         "t": 1,
                         "user": t1.format(food=food, area=area),
                         "state": {"informed": informed, "requested": []},
-                        "sys_acts": [{"act": "inform", "domain": DOMAIN, "slot": "name"}],
+                        "sys_acts": [DialogAct("inform", DOMAIN, "name").to_json()],
                         "response": RESPONSE1.format(name=name, food=food, area=area),
                         "domain": DOMAIN,
                     },
@@ -101,7 +101,7 @@ def synth_corpus(n_dialogs: int = 30, seed: int = 0) -> Corpus:
                         "t": 2,
                         "user": t2,
                         "state": {"informed": informed, "requested": [[DOMAIN, "name"]]},
-                        "sys_acts": [{"act": "inform", "domain": DOMAIN, "slot": "name"}],
+                        "sys_acts": [DialogAct("inform", DOMAIN, "name").to_json()],
                         "response": RESPONSE2.format(name=name),
                         "domain": DOMAIN,
                     },

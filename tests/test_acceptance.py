@@ -35,7 +35,6 @@ from dialaug.neural import (
     PlateauSchedule,
     SEP,
     Vocab,
-    clip_gradient,
     encode,
     forward_instance,
     from_result,
@@ -44,6 +43,7 @@ from dialaug.neural import (
     train,
 )
 from dialaug.neural import autodiff as ad
+from dialaug.neural.training import clip_by_norm
 from dialaug.textmetrics import SMOOTH_ADD_ONE, SMOOTH_NONE, BleuConfig, corpus_bleu, diversity, sentence_bleu
 
 _cache: dict = {}
@@ -181,7 +181,7 @@ def test_criterion_4_loss_additivity_and_normalization(capsys, tiny_setup):
                         max_norm_err = max(max_norm_err, abs(float(row.sum()) - 1.0))
                         min_prob = min(min_prob, float(row.min()))
                 res.total.backward()
-            grad = clip_gradient(params.grad_flat() / len(batch), cfg.clip_norm)
+            grad = clip_by_norm(params.grad_flat() / len(batch), cfg.clip_norm)[0]
             adam.step(params, grad, cfg.learning_rate)
             n_batches += 1
     ok = max_add_err <= 1e-12 and max_norm_err <= 1e-9 and min_prob >= 0.0

@@ -16,6 +16,7 @@ from dialaug.augment import (
     instance_for_turn,
     utter_sub,
 )
+from dialaug.corpus import load_canonical
 from dialaug.mining import (
     DialogFunction,
     MiningConfig,
@@ -151,8 +152,32 @@ class TestUtterSub:
         assert t.context.prev_response == src.turns[0].response
         assert t.context.prev_state.to_json() == src.turns[0].state.to_json()
         # the clone reproduces the original turn's history for the model
-        assert augmented.prev_acts(clone, 1) == mini_corpus.prev_acts(src, 2)
-        assert augmented.prev_state(clone, 1).to_json() == mini_corpus.prev_state(src, 2).to_json()
+        assert clone.context_before(1).prev_acts == src.context_before(2).prev_acts
+        assert clone.context_before(1).prev_state.to_json() == src.context_before(2).prev_state.to_json()
+
+    def test_clone_context_before_is_its_override(self, mini_corpus, mini_pairs):
+        augmented = utter_sub(mini_corpus, mini_pairs)
+        src = mini_corpus.get_dialog("d01")
+        for clone_id, src_turn in (("d01#p1", 1), ("d01#p2", 2)):
+            clone = augmented.get_dialog(clone_id)
+            assert clone.context_before(1) == clone.turns[0].context
+            assert clone.context_before(1) == src.context_before(src_turn)
+            assert augmented.prev_response(clone, 1) == mini_corpus.prev_response(src, src_turn)
+
+    def test_clone_shares_no_state_with_source(self, mini_corpus, mini_pairs):
+        augmented = utter_sub(mini_corpus, mini_pairs)
+        src = mini_corpus.get_dialog("d01")
+        ctx = augmented.get_dialog("d01#p2").turns[0].context
+        assert ctx.prev_state is not src.turns[0].state
+        assert ctx.prev_acts is not src.turns[0].sys_acts
+        ctx.prev_state.requested.add(("restaurant", "area"))
+        assert ("restaurant", "area") not in src.turns[0].state.requested
+
+    def test_save_load_save_byte_identical(self, mini_corpus, mini_pairs, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        utter_sub(mini_corpus, mini_pairs).save(a)
+        load_canonical(a).save(b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unfillable_placeholder_skipped(self, mini_corpus, caplog):
         # d04's turn informs only food; a target mentioning [area] cannot be

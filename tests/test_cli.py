@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -51,6 +52,12 @@ class TestUsage:
         assert dispatch(["mine", "--corpus", MINI, "--bleu-th", "-1", "--out", out]) == EXIT_USAGE
         assert "mining config" in capsys.readouterr().err
 
+    def test_zero_batch_size_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"version": 1, "model": {**FAST_CONFIG["model"], "batch_size": 0}})
+        out = str(tmp_path / "model.ckpt")
+        assert dispatch(["--config", cfg, "train", "--corpus", MINI, "--out", out]) == EXIT_USAGE
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+
     def test_relax_step_is_gone(self, tmp_path, capsys):
         out = str(tmp_path / "pairs.jsonl")
         cfg = write_config(tmp_path, {"version": 1, "mining": {"relax_step": 0.5}})
@@ -81,6 +88,65 @@ class TestStats:
         out = capsys.readouterr().out
         assert "paraphrase pairs: 36" in out
         assert "relaxed pairs: 2" in out
+
+
+class TestMalformedInput:
+    """Malformed input files are validation errors (exit 1), never runtime failures."""
+
+    def write_mini(self, tmp_path, edit):
+        doc = json.loads(pathlib.Path(MINI).read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_context_act_without_act(self, tmp_path, capsys):
+        def edit(doc):
+            doc["dialogs"][0]["turns"][0]["context"] = {"prev_acts": [{"domain": "restaurant", "slot": "name"}]}
+        assert dispatch(["stats", "--corpus", self.write_mini(tmp_path, edit)]) == EXIT_USAGE
+        assert "'act': missing required field" in capsys.readouterr().err
+
+    def test_context_act_without_domain(self, tmp_path, capsys):
+        def edit(doc):
+            doc["dialogs"][0]["turns"][0]["context"] = {"prev_acts": [{"act": "inform", "slot": "name"}]}
+        path = self.write_mini(tmp_path, edit)
+        assert dispatch(["stats", "--corpus", path]) == EXIT_OK
+        turn = load_canonical(path).dialogs[0].turns[0]
+        assert [(a.domain, a.act_type, a.slot) for a in turn.context.prev_acts] == [(turn.domain, "inform", "name")]
+
+    @pytest.mark.parametrize("field", ["state", "ontology"])
+    def test_list_where_object_expected(self, tmp_path, capsys, field):
+        def edit(doc):
+            if field == "ontology":
+                doc["ontology"] = []
+            else:
+                doc["dialogs"][0]["turns"][0]["state"] = []
+        assert dispatch(["stats", "--corpus", self.write_mini(tmp_path, edit)]) == EXIT_USAGE
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"src": ["d01", 1]}\n', "malformed pair on line 1"),
+        (b"\xff\xfe\n", "not UTF-8 text"),
+    ])
+    def test_malformed_pairs_file(self, tmp_path, capsys, content, message):
+        pairs = tmp_path / "bad.jsonl"
+        pairs.write_bytes(content)
+        assert dispatch(["stats", "--corpus", MINI, "--pairs", str(pairs)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"not json {", b"\xff\xfe["])
+    def test_ingest_non_json(self, tmp_path, capsys, content):
+        raw = tmp_path / "raw.json"
+        raw.write_bytes(content)
+        out = str(tmp_path / "o.json")
+        assert dispatch(["ingest", "--raw", str(raw), "--schema", "camrest-raw", "--out", out]) == EXIT_USAGE
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_corpus_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "corpus.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert dispatch(["stats", "--corpus", str(path)]) == EXIT_USAGE
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestMetrics:

@@ -12,6 +12,7 @@ from dialaug.corpus import (
     DialogAct,
     Ontology,
     SchemaViolation,
+    TurnContext,
     UnknownSymbol,
     corpus_from_json,
     delexicalize,
@@ -113,9 +114,11 @@ class TestActsAndBelief:
         act = DialogAct("inform", "restaurant", "food")
         assert act.serialize() == ["[restaurant]", "[inform]", "food"]
         assert act.key_token() == "inform-food"
+        assert act.to_json() == {"act": "inform", "domain": "restaurant", "slot": "food"}
         bare = DialogAct("inform", "restaurant")
         assert bare.serialize() == ["[restaurant]", "[inform]"]
         assert bare.key_token() == "inform"
+        assert bare.to_json() == {"act": "inform", "domain": "restaurant"}
 
     def test_serialize_acts_sorted(self):
         acts = [
@@ -265,6 +268,42 @@ class TestCorpusValidation:
         with pytest.raises(CorpusError):
             corpus_from_json(doc)
 
+    @pytest.mark.parametrize("where", ["sys_acts", "context"])
+    def test_act_entry_without_act(self, where):
+        doc = base_doc()
+        turn = doc["dialogs"][0]["turns"][0]
+        if where == "sys_acts":
+            turn["sys_acts"] = [{"domain": "restaurant", "slot": "name"}]
+        else:
+            turn["context"] = {"prev_acts": [{"domain": "restaurant", "slot": "name"}]}
+        with pytest.raises(SchemaViolation) as err:
+            corpus_from_json(doc)
+        assert err.value.fieldname == "act"
+
+    def test_act_entries_default_to_turn_domain(self):
+        doc = base_doc()
+        turn = doc["dialogs"][0]["turns"][0]
+        turn["sys_acts"] = [{"act": "inform", "slot": "name"}]
+        turn["context"] = {"prev_response": "hello", "prev_acts": [{"act": "request", "slot": "food"}]}
+        loaded = corpus_from_json(doc).dialogs[0].turns[0]
+        assert loaded.sys_acts == [DialogAct("inform", "restaurant", "name")]
+        assert loaded.context.prev_acts == [DialogAct("request", "restaurant", "food")]
+
+    @pytest.mark.parametrize("path", [
+        ("ontology",), ("state",), ("context",), ("context", "prev_state"), ("sys_acts", 0),
+    ], ids=lambda p: ".".join(map(str, p)))
+    def test_non_object_field(self, path):
+        doc = base_doc()
+        turn = doc["dialogs"][0]["turns"][0]
+        turn["context"] = {"prev_state": {}}
+        parent = doc if path == ("ontology",) else turn
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = ["not", "an", "object"]
+        with pytest.raises(SchemaViolation) as err:
+            corpus_from_json(doc)
+        assert "JSON object" in str(err.value)
+
     @pytest.mark.parametrize("text", ["", "   "])
     def test_empty_user_utterance(self, text):
         doc = base_doc()
@@ -305,18 +344,46 @@ class TestCorpusAccessors:
     def test_prev_accessors(self, mini_corpus):
         d = mini_corpus.get_dialog("d01")
         assert mini_corpus.prev_response(d, 1) == []
-        assert mini_corpus.prev_state(d, 1) == BeliefState()
-        assert mini_corpus.prev_acts(d, 1) == []
+        assert d.context_before(1).prev_state == BeliefState()
+        assert d.context_before(1).prev_acts == []
         prev = mini_corpus.prev_response(d, 2)
         assert "[name]" in prev
-        assert mini_corpus.prev_state(d, 2) == d.turns[0].state
-        assert [a.key_token() for a in mini_corpus.prev_acts(d, 2)] == ["inform-name"]
+        assert d.context_before(2).prev_state == d.turns[0].state
+        assert [a.key_token() for a in d.context_before(2).prev_acts] == ["inform-name"]
 
     def test_save_load_byte_identical(self, tmp_path, mini_corpus):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         mini_corpus.save(p1)
         load_canonical(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestContextBefore:
+    def test_later_turn_is_previous_turn(self, mini_corpus):
+        d = mini_corpus.get_dialog("d01")
+        ctx = d.context_before(2)
+        assert ctx.prev_response == d.turns[0].response
+        assert ctx.prev_state == d.turns[0].state
+        assert ctx.prev_acts == d.turns[0].sys_acts
+
+    def test_first_turn_without_context_is_empty(self, mini_corpus):
+        d = mini_corpus.get_dialog("d01")
+        assert d.turns[0].context is None
+        assert d.context_before(1) == TurnContext([], BeliefState(), [])
+
+    def test_fresh_copy(self, mini_corpus):
+        d = mini_corpus.get_dialog("d01")
+        ctx = d.context_before(2)
+        assert ctx.prev_state is not d.turns[0].state
+        assert ctx.prev_response is not d.turns[0].response
+        assert ctx.prev_acts is not d.turns[0].sys_acts
+        ctx.prev_state.requested.add(("restaurant", "area"))
+        assert d.context_before(2).prev_state == d.turns[0].state
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_out_of_range(self, mini_corpus, t):
+        with pytest.raises(IndexError):
+            mini_corpus.get_dialog("d01").context_before(t)
 
 
 class TestSplitSubsample:

@@ -90,6 +90,15 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(lr_halve_patience=0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", [
+        "batch_size", "max_epochs", "max_encode_len",
+        "max_decode_action", "max_decode_paraphrase", "max_decode_belief", "max_decode_response",
+    ])
+    def test_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
     def test_max_decode(self):
         cfg = ModelConfig()
         assert cfg.max_decode("action") == cfg.max_decode_action

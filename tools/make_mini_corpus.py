@@ -12,7 +12,7 @@ import pathlib
 import sys
 
 from dialaug.augment import utter_sub
-from dialaug.corpus import corpus_from_json
+from dialaug.corpus import DialogAct, corpus_from_json
 from dialaug.evaluation import gold_results, score_results
 from dialaug.mining import index_by_function, mine_pairs, orphan_turns, relax_for_orphans
 
@@ -53,7 +53,7 @@ DATABASE = [
     {"domain": "restaurant", "name": "siam palace", "food": "thai", "area": "town centre"},
 ]
 
-INFORM_NAME = [{"act": "inform", "domain": "restaurant", "slot": "name"}]
+INFORM_NAME = [DialogAct("inform", "restaurant", "name").to_json()]
 
 T1 = (
     "i want a {food} restaurant in the {area} .",
@@ -139,7 +139,7 @@ def build() -> dict:
                  "blue spice serves thai food ."),
         one_turn(6, {"area": "west"}, [], [], "show me restaurants in the west please .",
                  "old mill is in the west .",
-                 sys_acts=[{"act": "inform", "domain": "restaurant"}]),
+                 sys_acts=[DialogAct("inform", "restaurant").to_json()]),
     ]
     combos = [
         (7, "french", "east", "le bistro", TE[0]),
